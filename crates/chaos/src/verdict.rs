@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 
 use afraid::faults::DataLossReport;
 use afraid::recovery::{CrashImage, RecoveryOutcome};
-use afraid::shadow::Reconstruction;
+use afraid::shadow::xor_fold;
 use afraid_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -122,28 +122,29 @@ pub fn judge(
         .collect();
 
     // Ground truth: units on the dead disk whose reconstruction value
-    // (XOR of survivors) differs from what the disk really held.
+    // (XOR of survivors) differs from what the disk really held — the
+    // data units of the rows that do not XOR to zero.
     let mut truly: BTreeSet<(u64, u32)> = BTreeSet::new();
     if let Some(f) = image.failed_disk {
-        for stripe in 0..layout.stripes() {
-            if layout.parity_disk(stripe) == f {
+        for (stripe, row) in (0u64..).zip(image.shadow.rows()) {
+            if xor_fold(row) == 0 {
+                continue;
+            }
+            let Some(unit) = layout.unit_on_disk(stripe, f) else {
                 continue; // parity loss is never data loss
+            };
+            // A dead unit whose XOR candidate checksums back to the
+            // client's intent was corrupt *on the platter* and healed
+            // by the reconstruction — better than what the disk held,
+            // not a loss.
+            if image
+                .integrity
+                .as_ref()
+                .is_some_and(|int| int.verify(stripe, unit, image.shadow.xor_survivors(stripe, f)))
+            {
+                continue;
             }
-            if image.shadow.reconstruct(stripe, f) == Reconstruction::Lost {
-                let unit = (0..layout.data_units())
-                    .find(|&u| layout.data_disk(stripe, u) == f)
-                    .expect("non-parity disk holds a data unit");
-                // A dead unit whose XOR candidate checksums back to
-                // the client's intent was corrupt *on the platter* and
-                // healed by the reconstruction — better than what the
-                // disk held, not a loss.
-                if image.integrity.as_ref().is_some_and(|int| {
-                    int.verify(stripe, unit, image.shadow.xor_survivors(stripe, f))
-                }) {
-                    continue;
-                }
-                truly.insert((stripe, unit));
-            }
+            truly.insert((stripe, unit));
         }
     }
     let declared: BTreeSet<(u64, u32)> = outcome
@@ -172,14 +173,15 @@ pub fn judge(
     // data on survivors — harmless — or reconstructs wrongly, which
     // invariant 1 catches as undeclared loss.)
     if failure.is_none() && image.failed_disk.is_none() {
-        if let Some(s) = (0..layout.stripes()).find(|&s| {
-            !image.marks.is_marked(s)
-                && !image.shadow.parity_consistent(s)
+        let hole = (0u64..).zip(image.shadow.rows()).find(|&(s, row)| {
+            xor_fold(row) != 0
+                && !image.marks.is_marked(s)
                 && !image
                     .integrity
                     .as_ref()
                     .is_some_and(|int| int.stripe_corrupt(s))
-        }) {
+        });
+        if let Some((s, _)) = hole {
             failure = Some(format!(
                 "write hole: stripe {s} is unmarked but parity-inconsistent at the cut"
             ));
@@ -204,7 +206,7 @@ pub fn judge(
 
     // 3. Full redundancy after recovery.
     if failure.is_none() {
-        if let Some(s) = (0..layout.stripes()).find(|&s| !outcome.shadow.parity_consistent(s)) {
+        if let Some(s) = outcome.shadow.rows().position(|row| xor_fold(row) != 0) {
             failure = Some(format!("stripe {s} left parity-inconsistent by recovery"));
         } else if outcome.marks.marked_count() != 0 {
             failure = Some(format!(
@@ -272,6 +274,7 @@ pub fn judge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afraid::integrity::IntegrityState;
     use afraid::layout::Layout;
     use afraid::nvram::{MarkGranularity, MarkingMemory};
     use afraid::recovery::replay;
@@ -362,6 +365,83 @@ mod tests {
         assert!(v.declared_lost >= v.truly_lost);
         assert!(v.over_declared > 0, "conservative recovery over-declares");
         assert!(v.nvram_failed);
+    }
+
+    /// The first failure judged for an image and a (possibly
+    /// tampered) outcome.
+    fn failure(img: &CrashImage, out: &RecoveryOutcome) -> String {
+        let v = judge(0, img, out, None);
+        assert!(!v.pass);
+        v.failure.expect("a failing verdict names its invariant")
+    }
+
+    #[test]
+    fn byte_identity_violation_is_caught() {
+        let img = image();
+        let mut out = replay(&img);
+        // Recovery "recovers" a unit it never declared lost into
+        // different bytes, parity kept consistent so only invariant 2
+        // can notice.
+        out.shadow.write_data(7, 2, 0xbad);
+        out.shadow.rebuild_parity(7);
+        assert_eq!(
+            failure(&img, &out),
+            "corruption: recovered stripe 7 unit 2 diverges from pre-crash contents"
+        );
+    }
+
+    #[test]
+    fn residual_inconsistency_and_marks_are_caught() {
+        let img = image();
+        let mut out = replay(&img);
+        let pd = out.shadow.layout().parity_disk(11);
+        let stale = out.shadow.word(11, pd) ^ 1;
+        out.shadow.set_word(11, pd, stale);
+        assert_eq!(
+            failure(&img, &out),
+            "stripe 11 left parity-inconsistent by recovery"
+        );
+        let mut out = replay(&img);
+        out.marks.mark(3, 0, 1);
+        out.marks.mark(12, 0, 1);
+        assert_eq!(failure(&img, &out), "2 stripes left marked after recovery");
+    }
+
+    #[test]
+    fn integrity_violations_are_caught() {
+        let mut img = image();
+        img.integrity = Some(IntegrityState::new(&img.shadow));
+        let out = replay(&img);
+        assert!(judge(0, &img, &out, None).pass);
+
+        let mut lied = img.clone();
+        if let Some(int) = &mut lied.integrity {
+            int.counters.silent_reads = 3;
+        }
+        assert_eq!(
+            failure(&lied, &replay(&lied)),
+            "3 reads returned wrong bytes undetected before the cut"
+        );
+
+        let mut alarmed = img.clone();
+        if let Some(int) = &mut alarmed.integrity {
+            int.counters.false_positives = 2;
+        }
+        assert_eq!(
+            failure(&alarmed, &replay(&alarmed)),
+            "2 checksum mismatches with no injected fault behind them"
+        );
+
+        // Recovery leaves a unit whose platter bytes no longer match
+        // the client's intent: the checksum now covers other content.
+        let mut out = replay(&img);
+        if let Some(int) = &mut out.integrity {
+            int.absorb(9, 1, 0x0ddba11);
+        }
+        assert_eq!(
+            failure(&img, &out),
+            "silent corruption survives recovery: stripe 9 unit 1 fails its checksum"
+        );
     }
 
     #[test]

@@ -1175,8 +1175,9 @@ impl Controller {
         }
 
         // The dead disk holds data unit `uf`.
-        let uf = (0..self.layout.data_units())
-            .find(|&u| self.layout.data_disk(stripe, u) == f)
+        let uf = self
+            .layout
+            .unit_on_disk(stripe, f)
             // lint:allow(d3) the caller ruled out parity_disk(stripe) == f, so f holds a data unit
             .expect("dead disk holds a data unit");
         let covers = |u: u32| group.iter().any(|sl| sl.unit == u && sl.full_unit);
@@ -1385,9 +1386,7 @@ impl Controller {
             if self.layout.parity_disk(s) == disk || self.degraded_disk_for(s).is_some() {
                 continue;
             }
-            let Some(vu) =
-                (0..self.layout.data_units()).find(|&u| self.layout.data_disk(s, u) == disk)
-            else {
+            let Some(vu) = self.layout.unit_on_disk(s, disk) else {
                 continue;
             };
             if shadow.data_word(s, vu) == word {
@@ -2753,8 +2752,9 @@ impl Controller {
             if self.layout.parity_disk(stripe) == disk {
                 continue; // parity lost, data intact: rebuild fixes it
             }
-            let uf = (0..self.layout.data_units())
-                .find(|&u| self.layout.data_disk(stripe, u) == disk)
+            let uf = self
+                .layout
+                .unit_on_disk(stripe, disk)
                 // lint:allow(d3) parity_disk(stripe) == disk was ruled out above, so the dead disk holds a data unit
                 .expect("dead disk holds a data unit");
             scarred.insert(stripe, uf);
@@ -2796,9 +2796,7 @@ impl Controller {
                     {
                         continue;
                     }
-                    let Some(uf) = (0..self.layout.data_units())
-                        .find(|&u| self.layout.data_disk(stripe, u) == disk)
-                    else {
+                    let Some(uf) = self.layout.unit_on_disk(stripe, disk) else {
                         continue;
                     };
                     let candidate = shadow.xor_survivors(stripe, disk);

@@ -338,8 +338,8 @@ pub fn assess_loss(
                 // other case is a loss.
                 if parity_disk != failed_disk {
                     if let (Some(shadow), Some(int)) = (shadow, integrity) {
-                        let unit = (0..layout.data_units())
-                            .find(|&u| layout.data_disk(stripe, u) == failed_disk)
+                        let unit = layout
+                            .unit_on_disk(stripe, failed_disk)
                             // lint:allow(d7) layout invariant: in left-symmetric RAID-5 every non-parity disk holds exactly one data unit per stripe, and this branch excluded the parity disk
                             .expect("failed disk holds a data unit of this stripe");
                         let candidate = shadow.xor_survivors(stripe, failed_disk);
@@ -361,8 +361,8 @@ pub fn assess_loss(
         if parity_disk == failed_disk {
             report.parity_only += 1;
         } else {
-            let unit = (0..layout.data_units())
-                .find(|&u| layout.data_disk(stripe, u) == failed_disk)
+            let unit = layout
+                .unit_on_disk(stripe, failed_disk)
                 // lint:allow(d7) layout invariant: every non-parity disk holds exactly one data unit per stripe, and the parity-disk case was handled above
                 .expect("failed disk holds a data unit of this stripe");
             report.lost_units += 1;
@@ -392,8 +392,8 @@ fn assess_latent_stripe(
     let lba = layout.stripe_lba(stripe);
     let unit_sectors = layout.unit_sectors();
     let data_unit_of = |disk: u32| {
-        (0..layout.data_units())
-            .find(|&u| layout.data_disk(stripe, u) == disk)
+        layout
+            .unit_on_disk(stripe, disk)
             // lint:allow(d7) layout invariant: only called for non-parity disks, each of which holds exactly one data unit per stripe
             .expect("non-parity disk holds a data unit of this stripe")
     };

@@ -69,7 +69,7 @@ pub struct UnitSlice {
 /// let a = l.locate(0);
 /// assert_eq!((a.stripe, a.disk), (0, 0));
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Layout {
     disks: u32,
     /// Sectors per stripe unit.
@@ -160,6 +160,17 @@ impl Layout {
     pub fn data_disk(&self, stripe: u64, unit: u32) -> u32 {
         assert!(unit < self.data_units(), "unit {unit} out of range");
         (self.parity_disk(stripe) + 1 + unit) % self.disks
+    }
+
+    /// The data unit `disk` holds in `stripe`, or `None` when it holds
+    /// the stripe's parity: the inverse of [`Layout::data_disk`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stripe` is out of range.
+    pub fn unit_on_disk(&self, stripe: u64, disk: u32) -> Option<u32> {
+        let pd = self.parity_disk(stripe);
+        (disk != pd).then(|| (disk + self.disks - pd - 1) % self.disks)
     }
 
     /// First sector of stripe `stripe`'s unit on whichever disk holds
@@ -309,6 +320,22 @@ mod tests {
                 seen[d] = true;
             }
             assert!(seen.iter().all(|&s| s));
+        }
+    }
+
+    #[test]
+    fn unit_on_disk_inverts_data_disk() {
+        for disks in [3, 4, 5, 8] {
+            let l = Layout::new(disks, 8192, 16 * 17);
+            for stripe in 0..l.stripes() {
+                assert_eq!(l.unit_on_disk(stripe, l.parity_disk(stripe)), None);
+                for unit in 0..l.data_units() {
+                    assert_eq!(
+                        l.unit_on_disk(stripe, l.data_disk(stripe, unit)),
+                        Some(unit)
+                    );
+                }
+            }
         }
     }
 

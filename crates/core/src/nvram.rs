@@ -13,7 +13,6 @@
 //! ([`MarkGranularity`]); the baseline design is `M = 1`.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Number of marking bits per stripe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,22 +60,43 @@ pub struct MarkingMemory {
     granularity: MarkGranularity,
     /// Count of stripes with a non-zero mask.
     dirty: u64,
-    /// Ordered index of dirty stripes, so the scrubber's sweep is
-    /// O(log n) rather than a scan (an implementation index, not part
-    /// of the modelled NVRAM cost).
-    dirty_set: BTreeSet<u64>,
+    /// Dirty-stripe index, one bit per stripe (bit `s % 64` of word
+    /// `s / 64`), so the scrubber's sweep skips clean stretches a word
+    /// at a time (an implementation index, not part of the modelled
+    /// NVRAM cost).
+    dirty_bits: Vec<u64>,
+    /// One bit per `dirty_bits` word, set while that word is non-zero.
+    summary: Vec<u64>,
     /// True after a simulated NVRAM failure: contents untrusted.
     failed: bool,
+}
+
+/// `bits` zero bits, packed into words.
+fn zero_bits(bits: usize) -> Vec<u64> {
+    vec![0; bits.div_ceil(64)]
+}
+
+/// `bits` one bits, packed into words: the tail past `bits` stays zero.
+fn full_bits(bits: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; bits.div_ceil(64)];
+    if let Some(last) = words.last_mut() {
+        if !bits.is_multiple_of(64) {
+            *last = (1u64 << (bits % 64)) - 1;
+        }
+    }
+    words
 }
 
 impl MarkingMemory {
     /// Creates a clean marking memory for `stripes` stripes.
     pub fn new(stripes: u64, granularity: MarkGranularity) -> MarkingMemory {
+        let dirty_bits = zero_bits(stripes as usize);
         MarkingMemory {
             rows: vec![0; stripes as usize],
             granularity,
             dirty: 0,
-            dirty_set: BTreeSet::new(),
+            summary: zero_bits(dirty_bits.len()),
+            dirty_bits,
             failed: false,
         }
     }
@@ -101,13 +121,13 @@ impl MarkingMemory {
     /// Marks the sub-rows of `stripe` covered by the byte range
     /// `[row_from_byte, row_to_byte)` *within a stripe unit* of
     /// `unit_bytes`. For `M = 1` any write marks the single bit.
+    /// An out-of-range `stripe` marks nothing.
     ///
     /// Re-marking is a no-op, as the paper specifies.
     ///
     /// # Panics
     ///
-    /// Panics if `stripe` is out of range or the byte range is empty
-    /// or reversed.
+    /// Panics if the byte range is empty or reversed.
     pub fn mark_rows(
         &mut self,
         stripe: u64,
@@ -131,27 +151,61 @@ impl MarkingMemory {
     /// Marks `stripe` entirely (all rows). `_unit_from`/`_unit_to` are
     /// accepted for symmetry with sub-row marking.
     pub fn mark(&mut self, stripe: u64, _unit_from: u32, _unit_to: u32) {
+        self.mark_mask(stripe, self.full_mask());
+    }
+
+    /// The row mask with every sub-row dirty.
+    fn full_mask(&self) -> u64 {
         let m = self.granularity.bits();
-        let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-        self.mark_mask(stripe, mask);
+        if m == 64 {
+            u64::MAX
+        } else {
+            (1u64 << m) - 1
+        }
     }
 
     fn mark_mask(&mut self, stripe: u64, mask: u64) {
-        let slot = &mut self.rows[stripe as usize];
-        if *slot == 0 && mask != 0 {
-            self.dirty += 1;
-            self.dirty_set.insert(stripe);
-        }
+        let Some(slot) = self.rows.get_mut(stripe as usize) else {
+            return;
+        };
+        let newly_dirty = *slot == 0 && mask != 0;
         *slot |= mask;
+        if newly_dirty {
+            self.dirty += 1;
+            self.set_bit(stripe);
+        }
     }
 
-    /// The dirty row mask of a stripe (0 = fully redundant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe` is out of range.
+    /// Sets `stripe`'s index bit and its word's summary bit.
+    fn set_bit(&mut self, stripe: u64) {
+        let w = (stripe / 64) as usize;
+        if let Some(word) = self.dirty_bits.get_mut(w) {
+            *word |= 1 << (stripe % 64);
+        }
+        if let Some(sum) = self.summary.get_mut(w / 64) {
+            *sum |= 1 << (w % 64);
+        }
+    }
+
+    /// Clears `stripe`'s index bit, and its word's summary bit when the
+    /// word empties.
+    fn clear_bit(&mut self, stripe: u64) {
+        let w = (stripe / 64) as usize;
+        let Some(word) = self.dirty_bits.get_mut(w) else {
+            return;
+        };
+        *word &= !(1 << (stripe % 64));
+        if *word == 0 {
+            if let Some(sum) = self.summary.get_mut(w / 64) {
+                *sum &= !(1 << (w % 64));
+            }
+        }
+    }
+
+    /// The dirty row mask of a stripe (0 = fully redundant, and for
+    /// an out-of-range stripe).
     pub fn row_mask(&self, stripe: u64) -> u64 {
-        self.rows[stripe as usize]
+        self.rows.get(stripe as usize).copied().unwrap_or(0)
     }
 
     /// Fraction of the stripe's height that is dirty, in `(0, 1]`, or
@@ -167,22 +221,45 @@ impl MarkingMemory {
 
     /// True if the stripe has stale parity.
     pub fn is_marked(&self, stripe: u64) -> bool {
-        self.rows[stripe as usize] != 0
+        self.row_mask(stripe) != 0
     }
 
     /// Clears a stripe after its parity has been rebuilt.
     pub fn clear(&mut self, stripe: u64) {
-        let slot = &mut self.rows[stripe as usize];
+        let Some(slot) = self.rows.get_mut(stripe as usize) else {
+            return;
+        };
         if *slot != 0 {
-            self.dirty -= 1;
-            self.dirty_set.remove(&stripe);
             *slot = 0;
+            self.dirty -= 1;
+            self.clear_bit(stripe);
         }
     }
 
     /// Number of unredundant stripes.
     pub fn marked_count(&self) -> u64 {
         self.dirty
+    }
+
+    /// The lowest marked stripe at or after `from`, without wrapping:
+    /// a masked probe of `from`'s index word, then the summary finds
+    /// the next non-empty word.
+    fn next_set(&self, from: u64) -> Option<u64> {
+        let w = (from / 64) as usize;
+        let here = self.dirty_bits.get(w)? & (u64::MAX << (from % 64));
+        if here != 0 {
+            return Some(w as u64 * 64 + u64::from(here.trailing_zeros()));
+        }
+        let next = w + 1;
+        let mut s = next / 64;
+        let mut sum = self.summary.get(s)? & (u64::MAX << (next % 64));
+        while sum == 0 {
+            s += 1;
+            sum = *self.summary.get(s)?;
+        }
+        let w = s * 64 + sum.trailing_zeros() as usize;
+        let word = self.dirty_bits.get(w)?;
+        Some(w as u64 * 64 + u64::from(word.trailing_zeros()))
     }
 
     /// The lowest marked stripe at or after `from`, wrapping around.
@@ -193,38 +270,29 @@ impl MarkingMemory {
         if self.dirty == 0 {
             return None;
         }
-        let n = self.rows.len() as u64;
-        let start = from % n;
-        self.dirty_set
-            .range(start..)
-            .next()
-            .or_else(|| self.dirty_set.iter().next())
-            .copied()
+        let start = from % self.stripes();
+        self.next_set(start).or_else(|| self.next_set(0))
     }
 
     /// Up to `limit` marked stripes in cyclic order starting at
     /// `from`. The scrubber uses this to assemble a batch in one
-    /// O(limit log n) query.
+    /// pass that skips clean stretches a word at a time.
     pub fn marked_from(&self, from: u64, limit: usize) -> Vec<u64> {
         if self.dirty == 0 || limit == 0 {
             return Vec::new();
         }
-        let n = self.rows.len() as u64;
-        let start = from % n;
-        self.dirty_set
-            .range(start..)
-            .chain(self.dirty_set.range(..start))
-            .take(limit)
-            .copied()
-            .collect()
+        let start = from % self.stripes();
+        let upper = std::iter::successors(self.next_set(start), |&s| self.next_set(s + 1));
+        let lower = std::iter::successors(self.next_set(0), |&s| self.next_set(s + 1))
+            .take_while(|&s| s < start);
+        upper.chain(lower).take(limit).collect()
     }
 
     /// The length of the run of consecutive marked stripes starting at
     /// `stripe`, capped at `max`.
     pub fn marked_run(&self, stripe: u64, max: u64) -> u64 {
-        let n = self.rows.len() as u64;
         let mut len = 0;
-        while len < max && stripe + len < n && self.rows[(stripe + len) as usize] != 0 {
+        while len < max && self.is_marked(stripe + len) {
             len += 1;
         }
         len
@@ -236,13 +304,11 @@ impl MarkingMemory {
     /// recovery the paper describes).
     pub fn fail(&mut self) {
         self.failed = true;
-        let m = self.granularity.bits();
-        let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-        self.dirty = self.rows.len() as u64;
-        self.dirty_set = (0..self.rows.len() as u64).collect();
-        for slot in &mut self.rows {
-            *slot = mask;
-        }
+        let mask = self.full_mask();
+        self.rows.fill(mask);
+        self.dirty = self.stripes();
+        self.dirty_bits = full_bits(self.rows.len());
+        self.summary = full_bits(self.dirty_bits.len());
     }
 
     /// True once [`MarkingMemory::fail`] has been invoked.
@@ -391,5 +457,103 @@ mod tests {
     #[should_panic(expected = "granularity must be")]
     fn rejects_zero_granularity() {
         let _ = MarkGranularity::rows(0);
+    }
+
+    #[test]
+    fn out_of_range_stripes_are_clean_no_ops() {
+        let mut m = MarkingMemory::new(65, MarkGranularity::STRIPE);
+        m.mark(65, 0, 1);
+        m.mark_rows(1000, 8192, 0, 512);
+        m.clear(200);
+        assert_eq!(m.marked_count(), 0);
+        assert!(!m.is_marked(65));
+        assert_eq!(m.next_marked(0), None);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// The ordered-set index the bitmap replaced: the reference
+        /// for `next_marked` and `marked_from`, wrap order included.
+        fn model_from(set: &BTreeSet<u64>, n: u64, from: u64, limit: usize) -> Vec<u64> {
+            let start = from % n;
+            set.range(start..)
+                .chain(set.range(..start))
+                .take(limit)
+                .copied()
+                .collect()
+        }
+
+        /// Stripe for a drawn `raw`: half the draws land on the word
+        /// and summary boundaries, where off-by-one bit errors live.
+        fn stripe_for(n: u64, raw: u64) -> u64 {
+            const EDGES: [u64; 10] = [0, 1, 62, 63, 64, 65, 127, 128, 4095, 4096];
+            if raw.is_multiple_of(2) {
+                let e = EDGES[(raw / 2 % EDGES.len() as u64) as usize];
+                e.min(n - 1)
+            } else {
+                raw / 2 % n
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// Random mark / mark_rows / clear / fail sequences agree
+            /// with a `BTreeSet` model on every query.
+            #[test]
+            fn bitmap_matches_ordered_set_model(
+                n in prop_oneof![Just(1u64), Just(63), Just(64), Just(65), Just(2500), Just(4097)],
+                bits in prop_oneof![Just(1u32), Just(8), Just(64)],
+                ops in prop::collection::vec(
+                    (0u32..20, any::<u64>(), any::<u64>(), 0usize..80),
+                    1..160,
+                ),
+            ) {
+                let mut m = MarkingMemory::new(n, MarkGranularity::rows(bits));
+                let mut model: BTreeSet<u64> = BTreeSet::new();
+                for (op, raw, from, limit) in ops {
+                    let s = stripe_for(n, raw);
+                    match op {
+                        0..=7 => {
+                            m.mark(s, 0, 1);
+                            model.insert(s);
+                        }
+                        8..=10 => {
+                            let lo = raw % 8192;
+                            m.mark_rows(s, 8192, lo, 8192);
+                            model.insert(s);
+                        }
+                        11..=18 => {
+                            m.clear(s);
+                            model.remove(&s);
+                        }
+                        _ => {
+                            m.fail();
+                            model = (0..n).collect();
+                        }
+                    }
+                    prop_assert_eq!(m.marked_count(), model.len() as u64);
+                    prop_assert_eq!(m.is_marked(s), model.contains(&s));
+                    let probe = stripe_for(n, from);
+                    prop_assert_eq!(m.is_marked(probe), model.contains(&probe));
+                    let want = model_from(&model, n, from, 1).first().copied();
+                    prop_assert_eq!(m.next_marked(from), want);
+                    prop_assert_eq!(m.marked_from(from, limit), model_from(&model, n, from, limit));
+                }
+                // Whole-array agreement, and a full cyclic listing from
+                // a mid-array start so the wrap is exercised.
+                for s in 0..n {
+                    prop_assert_eq!(m.is_marked(s), model.contains(&s));
+                }
+                let mid = n / 2 + 1;
+                prop_assert_eq!(
+                    m.marked_from(mid, usize::MAX),
+                    model_from(&model, n, mid, usize::MAX)
+                );
+            }
+        }
     }
 }

@@ -201,19 +201,15 @@ const SCRAMBLE: u64 = 0xdead_dead_dead_dead;
 ///
 /// The replay uses only information a real controller has at
 /// power-on: the marking memory and the surviving disks' contents.
-/// The dead disk's shadow words are scrambled before reconstruction
-/// so nothing can leak through.
+/// The dead disk's word in each stripe is scrambled before that
+/// stripe is reconstructed, so nothing can leak through. One pass
+/// walks the stripes in order; each stripe's work touches only its
+/// own row.
 pub fn replay(image: &CrashImage) -> RecoveryOutcome {
     let mut shadow = image.shadow.clone();
     let mut marks = image.marks.clone();
     let mut integrity = image.integrity.clone();
     let layout = *shadow.layout();
-
-    if let Some(f) = image.failed_disk {
-        for stripe in 0..layout.stripes() {
-            shadow.set_word(stripe, f, SCRAMBLE ^ stripe);
-        }
-    }
 
     let mut scrubbed = 0u64;
     let mut spurious_marks = 0u64;
@@ -224,7 +220,17 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
 
     for stripe in 0..layout.stripes() {
         let marked = marks.is_marked(stripe);
-        match image.failed_disk {
+        let pd = layout.parity_disk(stripe);
+        // The disk of each data unit, in unit order: the inverse of
+        // `Layout::data_disk` without a division per unit.
+        let data_disks = (0u32..).zip((pd + 1..layout.disks()).chain(0..pd));
+        if let Some(f) = image.failed_disk {
+            shadow.set_word(stripe, f, SCRAMBLE ^ stripe);
+        }
+        match image
+            .failed_disk
+            .map(|f| (f, layout.unit_on_disk(stripe, f)))
+        {
             None => {
                 // Power-on write-intent cross-check: every surviving
                 // data unit is verified against its checksum *before*
@@ -234,12 +240,11 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                 // mark means stale parity) and are declared; on an
                 // unmarked stripe the XOR candidate is tried first.
                 if let Some(int) = &mut integrity {
-                    for unit in 0..layout.data_units() {
-                        let w = shadow.data_word(stripe, unit);
+                    for (unit, disk) in data_disks {
+                        let w = shadow.word(stripe, disk);
                         if int.verify(stripe, unit, w) {
                             continue;
                         }
-                        let disk = layout.data_disk(stripe, unit);
                         if marked {
                             int.record_declare(stripe, unit, w);
                             corrupt_declared.push(LostUnit { stripe, unit, disk });
@@ -249,7 +254,7 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                         if int.verify(stripe, unit, candidate) {
                             // Parity still encodes the client's
                             // intent: byte-exact repair.
-                            shadow.write_data(stripe, unit, candidate);
+                            shadow.set_word(stripe, disk, candidate);
                             int.record_repair(stripe, unit);
                             corrupt_repaired += 1;
                         } else {
@@ -273,24 +278,20 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                     marks.clear(stripe);
                 }
             }
-            Some(f) if layout.parity_disk(stripe) == f => {
+            Some((_, None)) => {
                 // The dead disk held this stripe's parity: all data
                 // survives; recompute parity onto the spare. A mark
                 // here meant "parity stale", which is now moot. Rot on
                 // a data unit has no redundancy left to repair from —
                 // declared, never laundered by the rebuild.
                 if let Some(int) = &mut integrity {
-                    for unit in 0..layout.data_units() {
-                        let w = shadow.data_word(stripe, unit);
+                    for (unit, disk) in data_disks {
+                        let w = shadow.word(stripe, disk);
                         if int.verify(stripe, unit, w) {
                             continue;
                         }
                         int.record_declare(stripe, unit, w);
-                        corrupt_declared.push(LostUnit {
-                            stripe,
-                            unit,
-                            disk: layout.data_disk(stripe, unit),
-                        });
+                        corrupt_declared.push(LostUnit { stripe, unit, disk });
                     }
                 }
                 shadow.rebuild_parity(stripe);
@@ -299,20 +300,14 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                     marks.clear(stripe);
                 }
             }
-            Some(f) => {
-                let unit = (0..layout.data_units())
-                    .find(|&u| layout.data_disk(stripe, u) == f)
-                    .expect("dead disk holds a data unit when it is not the parity disk");
+            Some((f, Some(unit))) => {
                 // Survivor rot first: a degraded array has no spare
                 // redundancy, so mismatching survivors are declared
                 // as-is (and poison the reconstruction below, which
                 // the candidate checksum then catches).
                 if let Some(int) = &mut integrity {
-                    for u in 0..layout.data_units() {
-                        if u == unit {
-                            continue;
-                        }
-                        let w = shadow.data_word(stripe, u);
+                    for (u, disk) in data_disks.filter(|&(u, _)| u != unit) {
+                        let w = shadow.word(stripe, disk);
                         if int.verify(stripe, u, w) {
                             continue;
                         }
@@ -320,7 +315,7 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                         corrupt_declared.push(LostUnit {
                             stripe,
                             unit: u,
-                            disk: layout.data_disk(stripe, u),
+                            disk,
                         });
                     }
                 }

@@ -42,19 +42,18 @@ pub enum Reconstruction {
 impl ShadowArray {
     /// Creates a shadow array with deterministic initial contents and
     /// consistent parity everywhere (a freshly initialised array).
+    /// Filled row by row, each row's data words in unit order.
     pub fn new(layout: Layout) -> ShadowArray {
-        let disks = layout.disks();
-        let mut words = vec![0u64; (layout.stripes() * u64::from(disks)) as usize];
-        for stripe in 0..layout.stripes() {
+        let disks = layout.disks() as usize;
+        let mut words = vec![0u64; layout.stripes() as usize * disks];
+        for (stripe, row) in (0u64..).zip(words.chunks_exact_mut(disks)) {
+            let pd = layout.parity_disk(stripe) as usize;
             let mut parity = 0u64;
-            for unit in 0..layout.data_units() {
-                let disk = layout.data_disk(stripe, unit);
-                let w = seed_word(stripe, unit);
-                words[(stripe * u64::from(disks) + u64::from(disk)) as usize] = w;
-                parity ^= w;
+            for (unit, w) in (0u32..).zip(unit_order_mut(row, pd)) {
+                *w = seed_word(stripe, unit);
+                parity ^= *w;
             }
-            let pd = layout.parity_disk(stripe);
-            words[(stripe * u64::from(disks) + u64::from(pd)) as usize] = parity;
+            row[pd] = parity;
         }
         ShadowArray { layout, words }
     }
@@ -77,6 +76,19 @@ impl ShadowArray {
     /// excluded word back out.
     fn row_xor(&self, stripe: u64) -> u64 {
         xor_fold(self.row(stripe))
+    }
+
+    /// Every stripe's row in stripe order: row `s` holds the words of
+    /// stripe `s`, one per disk, data and parity alike. Whole-array
+    /// checks run as one pass over these.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.layout.disks() as usize)
+    }
+
+    /// The data words of `stripe` in unit order.
+    pub(crate) fn data_words(&self, stripe: u64) -> impl Iterator<Item = u64> + '_ {
+        let pd = self.layout.parity_disk(stripe) as usize;
+        unit_order(self.row(stripe), pd).copied()
     }
 
     /// The content word of the unit on `disk` in `stripe`.
@@ -132,21 +144,22 @@ impl ShadowArray {
             .fold(0, |a, w| a ^ w)
     }
 
-    /// True if the stored parity equals the XOR of the data words.
+    /// True if the stored parity equals the XOR of the data words,
+    /// i.e. the whole row XORs to zero.
     pub fn parity_consistent(&self, stripe: u64) -> bool {
-        self.word(stripe, self.layout.parity_disk(stripe)) == self.compute_parity(stripe)
+        self.row_xor(stripe) == 0
     }
 
     /// Attempts to reconstruct the unit on `failed_disk` in `stripe`
-    /// from the survivors.
+    /// from the survivors. The survivors XOR to the missing word
+    /// exactly when the whole row XORs to zero, so the answer is the
+    /// same for every disk of the stripe.
     pub fn reconstruct(&self, stripe: u64, failed_disk: u32) -> Reconstruction {
-        let mut xor = 0u64;
-        for disk in 0..self.layout.disks() {
-            if disk != failed_disk {
-                xor ^= self.word(stripe, disk);
-            }
-        }
-        if xor == self.word(stripe, failed_disk) {
+        debug_assert!(
+            failed_disk < self.layout.disks(),
+            "no such disk {failed_disk}"
+        );
+        if self.row_xor(stripe) == 0 {
             Reconstruction::Recovered
         } else {
             Reconstruction::Lost
@@ -192,6 +205,9 @@ impl ShadowArray {
     /// deliberately not compared, because a recovery sweep rewrites
     /// stale parity; [`ShadowArray::parity_consistent`] judges those.
     ///
+    /// Compares the arrays row by row; only an unequal row is scanned
+    /// unit by unit, in unit order.
+    ///
     /// # Panics
     ///
     /// Panics if the two arrays have different layouts.
@@ -200,17 +216,15 @@ impl ShadowArray {
         other: &ShadowArray,
         skip: &BTreeSet<(u64, u32)>,
     ) -> Option<(u64, u32)> {
-        assert_eq!(
-            self.words.len(),
-            other.words.len(),
-            "shadow layout mismatch"
-        );
-        for stripe in 0..self.layout.stripes() {
-            for unit in 0..self.layout.data_units() {
-                if skip.contains(&(stripe, unit)) {
-                    continue;
-                }
-                if self.data_word(stripe, unit) != other.data_word(stripe, unit) {
+        assert_eq!(self.layout, other.layout, "shadow layout mismatch");
+        for (stripe, (a, b)) in (0u64..).zip(self.rows().zip(other.rows())) {
+            if a == b {
+                continue;
+            }
+            let pd = self.layout.parity_disk(stripe) as usize;
+            let units = unit_order(a, pd).zip(unit_order(b, pd));
+            for (unit, (x, y)) in (0u32..).zip(units) {
+                if x != y && !skip.contains(&(stripe, unit)) {
                     return Some((stripe, unit));
                 }
             }
@@ -235,6 +249,19 @@ impl ShadowArray {
              parity is stale, reconstruction would write garbage"
         );
     }
+}
+
+/// A stripe row's data words in unit order. Data unit `u` sits on
+/// disk `(pd + 1 + u) % disks`, so unit order is the row after the
+/// parity word followed by the row before it.
+fn unit_order(row: &[u64], pd: usize) -> impl Iterator<Item = &u64> {
+    row[pd + 1..].iter().chain(&row[..pd])
+}
+
+/// Mutable [`unit_order`].
+fn unit_order_mut(row: &mut [u64], pd: usize) -> impl Iterator<Item = &mut u64> {
+    let (before, from_parity) = row.split_at_mut(pd);
+    from_parity[1..].iter_mut().chain(before)
 }
 
 /// Chunked XOR fold: four independent `u64` accumulator lanes over
@@ -429,6 +456,167 @@ mod tests {
         assert!(!s.parity_consistent(2));
         s.rebuild_parity(2);
         assert!(s.parity_consistent(2));
+    }
+
+    #[test]
+    fn data_divergence_reports_unit_order_not_disk_order() {
+        // Stripe 1 has parity on disk 3: unit 0 sits on disk 4 and
+        // unit 1 on disk 0. With both diverging, the first in unit
+        // order is unit 0, though disk 0 comes first in the row.
+        let a = ShadowArray::new(layout());
+        let mut b = a.clone();
+        assert_eq!(
+            (a.layout().data_disk(1, 0), a.layout().data_disk(1, 1)),
+            (4, 0)
+        );
+        b.write_data(1, 1, 0x11);
+        b.write_data(1, 0, 0x22);
+        assert_eq!(a.data_divergence(&b, &BTreeSet::new()), Some((1, 0)));
+        let skip: BTreeSet<(u64, u32)> = [(1u64, 0u32)].into_iter().collect();
+        assert_eq!(a.data_divergence(&b, &skip), Some((1, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow layout mismatch")]
+    fn data_divergence_rejects_a_different_layout_of_equal_size() {
+        // 4 disks x 20 stripes and 5 disks x 16 stripes both hold 80
+        // words; comparing them unit by unit would be meaningless.
+        let four = ShadowArray::new(Layout::new(4, 8192, 16 * 20));
+        let five = ShadowArray::new(Layout::new(5, 8192, 16 * 16));
+        assert_eq!(four.rows().len() * 4, five.rows().len() * 5);
+        let _ = four.data_divergence(&five, &BTreeSet::new());
+    }
+
+    mod row_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Random shadow edits: client writes, incremental parity
+        /// updates, raw word overwrites and scrubs, in any mix.
+        fn dirty(s: &mut ShadowArray, edits: &[(u8, u64, u32, u64)]) {
+            let l = *s.layout();
+            for &(kind, stripe, unit, word) in edits {
+                let stripe = stripe % l.stripes();
+                match kind % 4 {
+                    0 => {
+                        s.write_data(stripe, unit % l.data_units(), word);
+                    }
+                    1 => {
+                        let old = s.write_data(stripe, unit % l.data_units(), word);
+                        s.update_parity_incremental(stripe, old, word);
+                    }
+                    2 => s.set_word(stripe, unit % l.disks(), word),
+                    _ => s.rebuild_parity(stripe),
+                }
+            }
+        }
+
+        /// The per-unit reference for `data_divergence`.
+        fn divergence_per_unit(
+            a: &ShadowArray,
+            b: &ShadowArray,
+            skip: &BTreeSet<(u64, u32)>,
+        ) -> Option<(u64, u32)> {
+            let l = a.layout();
+            for stripe in 0..l.stripes() {
+                for unit in 0..l.data_units() {
+                    if !skip.contains(&(stripe, unit))
+                        && a.data_word(stripe, unit) != b.data_word(stripe, unit)
+                    {
+                        return Some((stripe, unit));
+                    }
+                }
+            }
+            None
+        }
+
+        fn edits() -> impl Strategy<Value = Vec<(u8, u64, u32, u64)>> {
+            prop::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u32>(), any::<u64>()),
+                0..40,
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+            /// Row-built arrays equal the per-unit construction.
+            #[test]
+            fn new_matches_per_unit_construction(disks in 3u32..9, stripes in 1u64..40) {
+                let l = Layout::new(disks, 8192, 16 * stripes);
+                let mut words = vec![0u64; (stripes * u64::from(disks)) as usize];
+                for stripe in 0..stripes {
+                    let mut parity = 0;
+                    for unit in 0..l.data_units() {
+                        let w = seed_word(stripe, unit);
+                        words[(stripe * u64::from(disks) + u64::from(l.data_disk(stripe, unit))) as usize] = w;
+                        parity ^= w;
+                    }
+                    words[(stripe * u64::from(disks) + u64::from(l.parity_disk(stripe))) as usize] = parity;
+                }
+                prop_assert_eq!(ShadowArray::new(l).words, words);
+            }
+
+            /// Row-XOR consistency and reconstruction agree with the
+            /// scalar references on every stripe and every disk.
+            #[test]
+            fn row_xor_checks_match_scalar_references(
+                disks in 3u32..9,
+                stripes in 1u64..40,
+                edits in edits(),
+            ) {
+                let mut s = ShadowArray::new(Layout::new(disks, 8192, 16 * stripes));
+                dirty(&mut s, &edits);
+                let l = *s.layout();
+                for stripe in 0..l.stripes() {
+                    let stored = s.word(stripe, l.parity_disk(stripe));
+                    prop_assert_eq!(
+                        s.parity_consistent(stripe),
+                        s.compute_parity_scalar(stripe) == stored
+                    );
+                    for disk in 0..l.disks() {
+                        let want = if s.xor_survivors_scalar(stripe, disk) == s.word(stripe, disk) {
+                            Reconstruction::Recovered
+                        } else {
+                            Reconstruction::Lost
+                        };
+                        prop_assert_eq!(s.reconstruct(stripe, disk), want);
+                    }
+                    let units: Vec<u64> = s.data_words(stripe).collect();
+                    let scalar: Vec<u64> = (0..l.data_units()).map(|u| s.data_word(stripe, u)).collect();
+                    prop_assert_eq!(units, scalar);
+                }
+            }
+
+            /// The row comparison finds the same first divergent
+            /// `(stripe, unit)` as the per-unit scan, under random
+            /// skip sets.
+            #[test]
+            fn data_divergence_matches_per_unit_scan(
+                disks in 3u32..9,
+                stripes in 1u64..40,
+                edits in edits(),
+                skips in prop::collection::vec((any::<u64>(), any::<u32>()), 0..12),
+            ) {
+                let a = ShadowArray::new(Layout::new(disks, 8192, 16 * stripes));
+                let mut b = a.clone();
+                dirty(&mut b, &edits);
+                let l = *a.layout();
+                // Skip the first real divergence too, so the scan must
+                // look past it to the next one.
+                let mut skip: BTreeSet<(u64, u32)> = BTreeSet::new();
+                for (stripe, unit) in skips {
+                    skip.insert((stripe % l.stripes(), unit % l.data_units()));
+                }
+                if let Some(first) = divergence_per_unit(&a, &b, &BTreeSet::new()) {
+                    skip.insert(first);
+                }
+                for set in [&BTreeSet::new(), &skip] {
+                    prop_assert_eq!(a.data_divergence(&b, set), divergence_per_unit(&a, &b, set));
+                    prop_assert_eq!(b.data_divergence(&a, set), divergence_per_unit(&b, &a, set));
+                }
+            }
+        }
     }
 
     #[test]
