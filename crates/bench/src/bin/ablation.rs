@@ -40,11 +40,10 @@ use afraid_sim::time::SimDuration;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 
 fn main() {
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     let duration = args.duration;
     let kinds = [WorkloadKind::Snake, WorkloadKind::Att];
     let traces = harness::traces_for(&kinds, duration, args.jobs);
-    let cache = harness::cell_cache(&args);
     let seed = harness::seed();
     println!(
         "Ablations; {}s traces, seed {}",
@@ -71,23 +70,9 @@ fn main() {
         cfg.idle_delay = SimDuration::from_millis(delay_ms);
         cfg
     };
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, &(ki, delay_ms)| {
-            let cfg = delay_cfg(delay_ms);
-            harness::cell_key(
-                c,
-                &cfg,
-                kinds[ki].name(),
-                harness::TRACE_CAPACITY,
-                duration,
-                seed,
-            )
-        },
-        |&(ki, delay_ms)| run_trace(&delay_cfg(delay_ms), &traces[ki], &RunOptions::default()),
-    );
+    let results = harness::run_variants(args.jobs, &cells, |&(ki, delay_ms)| {
+        run_trace(&delay_cfg(delay_ms), &traces[ki], &RunOptions::default())
+    });
     for (&(ki, delay_ms), r) in cells.iter().zip(&results) {
         println!(
             "{:<9} {:>8}ms {:>12.2} {:>12} {:>8.1}%",
@@ -118,22 +103,9 @@ fn main() {
         cfg.scrub_batch = batch;
         cfg
     };
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, &(ki, batch)| {
-            harness::cell_key(
-                c,
-                &batch_cfg(batch),
-                kinds[ki].name(),
-                harness::TRACE_CAPACITY,
-                duration,
-                seed,
-            )
-        },
-        |&(ki, batch)| run_trace(&batch_cfg(batch), &traces[ki], &RunOptions::default()),
-    );
+    let results = harness::run_variants(args.jobs, &cells, |&(ki, batch)| {
+        run_trace(&batch_cfg(batch), &traces[ki], &RunOptions::default())
+    });
     for (&(ki, batch), r) in cells.iter().zip(&results) {
         let per = r.metrics.stripes_scrubbed as f64 / r.metrics.io.scrub_read.max(1) as f64 * 4.0; // 4 data units per stripe
         println!(
@@ -167,24 +139,11 @@ fn main() {
         cfg
     };
     // Marking memory size is a pure function of the config, so it is
-    // derived at print time rather than carried through the cache.
+    // derived at print time.
     let stripes = marks_cfg(1).disk_model.geometry.capacity_sectors() / 16;
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, &(ki, bits)| {
-            harness::cell_key(
-                c,
-                &marks_cfg(bits),
-                kinds[ki].name(),
-                harness::TRACE_CAPACITY,
-                duration,
-                seed,
-            )
-        },
-        |&(ki, bits)| run_trace(&marks_cfg(bits), &traces[ki], &RunOptions::default()),
-    );
+    let results = harness::run_variants(args.jobs, &cells, |&(ki, bits)| {
+        run_trace(&marks_cfg(bits), &traces[ki], &RunOptions::default())
+    });
     for (&(ki, bits), r) in cells.iter().zip(&results) {
         println!(
             "{:<9} {:>6} {:>12.2} {:>12} {:>12} {:>11}",
@@ -206,31 +165,12 @@ fn main() {
     println!("{header}");
     rule(header.len());
     let cells: Vec<usize> = (0..kinds.len()).collect();
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, &ki| {
-            // Salted: the payload is a (parity-log, AFRAID) pair, not a
-            // plain RunResult, and the log knobs are extra coordinates.
-            let cfg = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
-            c.key_builder()
-                .str("ablation4-paritylog-pair")
-                .str(&format!("{:?}", ParityLogConfig::default()))
-                .u64(seed)
-                .str(kinds[ki].name())
-                .u64(harness::TRACE_CAPACITY)
-                .f64(duration.as_secs_f64())
-                .str(&cfg.cache_encoding())
-                .finish()
-        },
-        |&ki| {
-            let cfg = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
-            let pl = run_parity_logging(&cfg, &ParityLogConfig::default(), &traces[ki]);
-            let af = run_trace(&cfg, &traces[ki], &RunOptions::default());
-            (pl, af)
-        },
-    );
+    let results = harness::run_variants(args.jobs, &cells, |&ki| {
+        let cfg = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
+        let pl = run_parity_logging(&cfg, &ParityLogConfig::default(), &traces[ki]);
+        let af = run_trace(&cfg, &traces[ki], &RunOptions::default());
+        (pl, af)
+    });
     for (&ki, (pl, af)) in cells.iter().zip(&results) {
         println!(
             "{:<9} {:>14.2} {:>14.2} {:>9} {:>9}",
@@ -268,22 +208,9 @@ fn main() {
         cfg.host_policy = scheds[si].1;
         cfg
     };
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, &(ki, si)| {
-            harness::cell_key(
-                c,
-                &sched_cfg(si),
-                kinds[ki].name(),
-                harness::TRACE_CAPACITY,
-                duration,
-                seed,
-            )
-        },
-        |&(ki, si)| run_trace(&sched_cfg(si), &traces[ki], &RunOptions::default()),
-    );
+    let results = harness::run_variants(args.jobs, &cells, |&(ki, si)| {
+        run_trace(&sched_cfg(si), &traces[ki], &RunOptions::default())
+    });
     for (&(ki, si), r) in cells.iter().zip(&results) {
         println!(
             "{:<9} {:>7} {:>12.2} {:>10.2}",
@@ -331,33 +258,15 @@ fn main() {
         cfg.disk_model = models[mi].clone();
         cfg
     };
-    let means = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, &(mi, di)| {
-            // Salted: the payload is a bare mean, not a RunResult, and
-            // the trace capacity is re-derived from the disk model the
-            // same way model_traces generated it.
-            c.key_builder()
-                .str("ablation6-mean-io-ms")
-                .u64(seed)
-                .str(WorkloadKind::Att.name())
-                .u64(model_traces[mi].capacity)
-                .f64(duration.as_secs_f64())
-                .str(&model_cfg(mi, di).cache_encoding())
-                .finish()
-        },
-        |&(mi, di)| {
-            run_trace(
-                &model_cfg(mi, di),
-                &model_traces[mi],
-                &RunOptions::default(),
-            )
-            .metrics
-            .mean_io_ms
-        },
-    );
+    let means = harness::run_variants(args.jobs, &cells, |&(mi, di)| {
+        run_trace(
+            &model_cfg(mi, di),
+            &model_traces[mi],
+            &RunOptions::default(),
+        )
+        .metrics
+        .mean_io_ms
+    });
     for (mi, model) in models.iter().enumerate() {
         let row = &means[mi * designs.len()..(mi + 1) * designs.len()];
         println!(
@@ -401,5 +310,4 @@ fn main() {
     println!();
     println!("Deferring only Q keeps single-failure tolerance at all times: the s5");
     println!("'partial redundancy immediately, full redundancy after the rebuild'.");
-    harness::print_cache_stats(cache.as_ref());
 }

@@ -8,22 +8,20 @@
 //! makes the process exit nonzero, so CI can use this binary as a hard
 //! gate.
 //!
-//! Usage: `chaos [secs] [--cuts N] [--scenario NAME|all] [--jobs N]
-//! [--cache|--no-cache]`
+//! Usage: `chaos [secs] [--cuts N] [--scenario NAME|all] [--jobs N]`
 //!
 //! `secs` scales the simulated traces (default 5 s); `--cuts N` sets
 //! the cuts per scenario (default 256, spread evenly over the run plus
 //! the cut-0 bound). Cut verdicts are ordinary cells: `--jobs` fans
-//! them over workers with bit-identical output, and `--cache` replays
-//! memoised verdicts from `target/cell-cache`. Writes
+//! them over workers with bit-identical output. Writes
 //! `BENCH_chaos_sweep.json` at the repository root.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use afraid_bench::harness;
-use afraid_chaos::{cut_points, summarize, sweep, Scenario, SweepSummary, CHAOS_SCHEMA};
-use afraid_exp::{jobs_from_args, CacheStats, CellCache};
+use afraid_chaos::{cut_points, summarize, sweep, Scenario, SweepSummary};
+use afraid_exp::jobs_from_args;
 use afraid_sim::time::SimDuration;
 use serde::Serialize;
 
@@ -47,10 +45,6 @@ struct Report {
     seed: u64,
     cuts_requested: usize,
     jobs: usize,
-    cache_enabled: bool,
-    /// Cache counters, present when `--cache` was given: a fully warm
-    /// run shows `misses: 0` — CI's evidence the verdicts replayed.
-    cache_stats: Option<CacheStats>,
     scenarios: Vec<ScenarioRun>,
     all_passed: bool,
     wall_secs: f64,
@@ -58,9 +52,7 @@ struct Report {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [secs] [--cuts N] [--scenario NAME|all] [--jobs N] [--cache|--no-cache]"
-    );
+    eprintln!("usage: chaos [secs] [--cuts N] [--scenario NAME|all] [--jobs N]");
     eprintln!(
         "scenarios: all {}",
         Scenario::ALL.map(|s| s.name()).join(" ")
@@ -70,16 +62,16 @@ fn usage() -> ! {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (jobs, rest) = jobs_from_args(&raw);
-    let mut cache_enabled = false;
+    let (jobs, rest) = jobs_from_args(&raw).unwrap_or_else(|e| {
+        eprintln!("chaos: {e}");
+        usage()
+    });
     let mut cuts_n = DEFAULT_CUTS;
     let mut scenarios: Vec<Scenario> = Scenario::ALL.to_vec();
     let mut secs = DEFAULT_SECS;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--cache" => cache_enabled = true,
-            "--no-cache" => cache_enabled = false,
             "--cuts" => {
                 cuts_n = it
                     .next()
@@ -100,7 +92,6 @@ fn main() -> ExitCode {
     }
     let duration = SimDuration::from_secs(secs);
     let seed = harness::seed();
-    let cache = cache_enabled.then(|| CellCache::new(CellCache::default_dir(), CHAOS_SCHEMA));
 
     println!(
         "Chaos sweep: {} scenario(s), {cuts_n} cuts each, {secs}s traces, seed {seed}, jobs {jobs}",
@@ -134,7 +125,7 @@ fn main() -> ExitCode {
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, cuts_n);
         let t1 = Instant::now();
-        let verdicts = sweep(&spec, &trace, &cuts, jobs, cache.as_ref());
+        let verdicts = sweep(&spec, &trace, &cuts, jobs);
         let wall = t1.elapsed().as_secs_f64();
         let s = summarize(sc.name(), &verdicts);
         println!(
@@ -173,21 +164,18 @@ fn main() -> ExitCode {
         wall,
         all_passed
     );
-    harness::print_cache_stats(cache.as_ref());
 
     let report = Report {
         duration_secs: duration.as_secs_f64(),
         seed,
         cuts_requested: cuts_n,
         jobs,
-        cache_enabled,
-        cache_stats: cache.as_ref().map(|c| c.stats()),
         scenarios: runs,
         all_passed,
         wall_secs: wall,
         note: "cut verdicts are pure functions of (scenario, seed, duration, cut): \
-               bit-identical at any --jobs and memoisable with --cache. wall_secs is \
-               machine-dependent; everything else is not."
+               bit-identical at any --jobs. wall_secs is machine-dependent; everything \
+               else is not."
             .to_string(),
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos_sweep.json");

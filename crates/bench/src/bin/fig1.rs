@@ -10,7 +10,7 @@
 use afraid::config::ArrayConfig;
 use afraid::driver::{run_trace, RunOptions};
 use afraid_bench::harness;
-use afraid_sim::time::{SimDuration, SimTime};
+use afraid_sim::time::SimTime;
 use afraid_trace::record::{IoRecord, ReqKind, Trace};
 
 fn main() {
@@ -24,31 +24,19 @@ fn main() {
     harness::rule(header.len());
 
     let cap = harness::TRACE_CAPACITY;
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     let designs = harness::headline_designs();
-    let cache = harness::cell_cache(&args);
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &designs,
-        cache.as_ref(),
-        |c, (_, policy)| {
-            // The synthetic one-write trace has no seed or duration;
-            // its shape is fully described by the name and size below.
-            let cfg = ArrayConfig::paper_default(*policy);
-            harness::cell_key(c, &cfg, "fig1-small-write-8k", cap, SimDuration::ZERO, 0)
-        },
-        |(_, policy)| {
-            let mut trace = Trace::new("small-write", cap);
-            trace.push(IoRecord {
-                time: SimTime::ZERO,
-                offset: 0,
-                bytes: 8 * 1024,
-                kind: ReqKind::Write,
-            });
-            let cfg = ArrayConfig::paper_default(*policy);
-            run_trace(&cfg, &trace, &RunOptions::default())
-        },
-    );
+    let results = harness::run_variants(args.jobs, &designs, |(_, policy)| {
+        let mut trace = Trace::new("small-write", cap);
+        trace.push(IoRecord {
+            time: SimTime::ZERO,
+            offset: 0,
+            bytes: 8 * 1024,
+            kind: ReqKind::Write,
+        });
+        let cfg = ArrayConfig::paper_default(*policy);
+        run_trace(&cfg, &trace, &RunOptions::default())
+    });
     for ((name, _), r) in designs.iter().zip(&results) {
         let io = r.metrics.io;
         println!(
@@ -64,5 +52,4 @@ fn main() {
     println!();
     println!("Paper: RAID 5 needs 3-4 I/Os in the critical path; AFRAID needs 1.");
     println!("AFRAID's 5 deferred I/Os (4 stripe reads + 1 parity write) run in idle time.");
-    harness::print_cache_stats(cache.as_ref());
 }

@@ -14,7 +14,7 @@ use afraid_sim::stats::geometric_mean;
 use afraid_trace::workloads::WorkloadKind;
 
 fn main() {
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     println!(
         "Figure 3: performance vs availability (geometric means over all workloads, \
          normalised to RAID 5); {}s traces, seed {}",
@@ -29,17 +29,7 @@ fn main() {
     // One matrix over the whole sweep; the sweep's first column is
     // RAID 5 and doubles as the per-workload reference.
     let sweep = harness::policy_sweep();
-    let cache = harness::cell_cache(&args);
-    let rows = harness::run_cells_cached(
-        args.jobs,
-        &kinds,
-        &traces,
-        harness::TRACE_CAPACITY,
-        args.duration,
-        harness::seed(),
-        &sweep,
-        cache.as_ref(),
-    );
+    let rows = harness::run_cells(args.jobs, &traces, &sweep);
 
     let raid5_io: Vec<f64> = rows
         .iter()
@@ -79,5 +69,4 @@ fn main() {
     println!();
     println!("Paper: +42% perf for -10% availability; +97% for -23%;");
     println!("pure AFRAID 4.1x perf for less than half RAID 5's availability.");
-    harness::print_cache_stats(cache.as_ref());
 }

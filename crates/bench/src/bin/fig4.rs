@@ -12,7 +12,7 @@ use afraid_bench::harness::{self, rule};
 use afraid_trace::workloads::WorkloadKind;
 
 fn main() {
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     println!(
         "Figure 4: mean I/O time (ms) per trace vs parity-update policy; {}s traces, seed {}",
         args.duration.as_secs_f64(),
@@ -30,17 +30,7 @@ fn main() {
 
     let kinds = WorkloadKind::all();
     let traces = harness::traces_for(&kinds, args.duration, args.jobs);
-    let cache = harness::cell_cache(&args);
-    let rows = harness::run_cells_cached(
-        args.jobs,
-        &kinds,
-        &traces,
-        harness::TRACE_CAPACITY,
-        args.duration,
-        harness::seed(),
-        &sweep,
-        cache.as_ref(),
-    );
+    let rows = harness::run_cells(args.jobs, &traces, &sweep);
     for (kind, cells) in kinds.iter().zip(&rows) {
         let mut row = format!("{:<11}", kind.name());
         for cell in cells {
@@ -52,5 +42,4 @@ fn main() {
     println!("Reading guide: columns run from RAID 5 (left) through MTTDL_x targets to");
     println!("pure AFRAID and RAID 0 (right). Bursty traces are nearly flat once any");
     println!("deferral is allowed; busy traces decline smoothly across the whole range.");
-    harness::print_cache_stats(cache.as_ref());
 }

@@ -9,10 +9,10 @@
 //! subsystem exists to kill) silently served to a client. The `off`
 //! mode is the clean control: it must find nothing and trip nothing.
 //!
-//! Usage: `integrity [secs] [--jobs N] [--cache|--no-cache]`
+//! Usage: `integrity [secs] [--jobs N]`
 //!
-//! Cells are ordinary cached cells: `--jobs` fans them over workers
-//! with bit-identical output and `--cache` replays memoised results.
+//! Cells are ordinary matrix cells: `--jobs` fans them over workers
+//! with bit-identical output.
 //! Writes `BENCH_integrity_sweep.json` at the repository root.
 
 use std::time::Instant;
@@ -22,7 +22,6 @@ use afraid::driver::{run_trace, RunOptions};
 use afraid::integrity::IntegrityCounters;
 use afraid::policy::ParityPolicy;
 use afraid_bench::harness;
-use afraid_exp::CacheStats;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 use serde::Serialize;
 
@@ -68,23 +67,14 @@ struct Report {
     duration_secs: f64,
     seed: u64,
     jobs: usize,
-    cache_enabled: bool,
-    cache_stats: Option<CacheStats>,
     rows: Vec<Row>,
     note: String,
 }
 
 fn main() {
-    let args = harness::bench_args();
-    let secs = args.duration.as_secs_f64().max(1.0) as u64;
-    let duration =
-        afraid_sim::time::SimDuration::from_secs(if secs == harness::DEFAULT_DURATION_SECS {
-            DEFAULT_SECS
-        } else {
-            secs
-        });
+    let args = harness::bench_args(DEFAULT_SECS);
+    let duration = args.duration;
     let seed = harness::seed();
-    let cache = harness::cell_cache(&args);
 
     // Shadow + integrity bookkeeping scale with stripes: use the small
     // test array so the sweep stays interactive.
@@ -132,13 +122,9 @@ fn main() {
     harness::rule(header.len());
 
     let t0 = Instant::now();
-    let results = harness::run_variants_cached(
-        args.jobs,
-        &cells,
-        cache.as_ref(),
-        |c, (_, _, cfg)| harness::cell_key(c, cfg, &trace.name, capacity, duration, seed),
-        |(_, _, cfg)| run_trace(cfg, &trace, &RunOptions::default()),
-    );
+    let results = harness::run_variants(args.jobs, &cells, |(_, _, cfg)| {
+        run_trace(cfg, &trace, &RunOptions::default())
+    });
 
     let mut rows = Vec::new();
     let mut leaked = false;
@@ -185,20 +171,16 @@ fn main() {
     }
     println!();
     println!("{} cells in {:.2}s", rows.len(), t0.elapsed().as_secs_f64());
-    harness::print_cache_stats(cache.as_ref());
 
     let report = Report {
         duration_secs: duration.as_secs_f64(),
         seed,
         jobs: args.jobs,
-        cache_enabled: args.cache,
-        cache_stats: cache.as_ref().map(|c| c.stats()),
         rows,
         note: "silent_reads counts corrupt words served undetected: zero in every \
                verify cell is the subsystem's acceptance bar, nonzero in the blind \
                cells is the priced exposure. Cells are pure functions of \
-               (config, trace, seed): bit-identical at any --jobs and memoisable \
-               with --cache."
+               (config, trace, seed): bit-identical at any --jobs."
             .to_string(),
     };
     let path = concat!(

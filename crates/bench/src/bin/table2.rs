@@ -12,7 +12,7 @@ use afraid_sim::stats::geometric_mean;
 use afraid_trace::workloads::WorkloadKind;
 
 fn main() {
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     println!(
         "Table 2 / Figure 2: mean I/O time (ms) per design; {}s traces, seed {}",
         args.duration.as_secs_f64(),
@@ -28,17 +28,7 @@ fn main() {
 
     let kinds = WorkloadKind::all();
     let traces = harness::traces_for(&kinds, args.duration, args.jobs);
-    let cache = harness::cell_cache(&args);
-    let rows = harness::run_cells_cached(
-        args.jobs,
-        &kinds,
-        &traces,
-        harness::TRACE_CAPACITY,
-        args.duration,
-        harness::seed(),
-        &harness::headline_designs(),
-        cache.as_ref(),
-    );
+    let rows = harness::run_cells(args.jobs, &traces, &harness::headline_designs());
 
     let mut afraid_speedups = Vec::new();
     let mut raid0_speedups = Vec::new();
@@ -71,5 +61,4 @@ fn main() {
     );
     println!();
     println!("Paper: AFRAID 4.1x RAID 5 (geometric mean); RAID 0 4.2x RAID 5.");
-    harness::print_cache_stats(cache.as_ref());
 }

@@ -14,7 +14,7 @@ use afraid_bench::harness::{self, bytes, rule};
 use afraid_trace::workloads::WorkloadKind;
 
 fn main() {
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     println!(
         "Table 3: parity lag and mean data loss rate; {}s traces, seed {}",
         args.duration.as_secs_f64(),
@@ -52,17 +52,7 @@ fn main() {
     ];
     let kinds = WorkloadKind::all();
     let traces = harness::traces_for(&kinds, args.duration, args.jobs);
-    let cache = harness::cell_cache(&args);
-    let rows = harness::run_cells_cached(
-        args.jobs,
-        &kinds,
-        &traces,
-        harness::TRACE_CAPACITY,
-        args.duration,
-        harness::seed(),
-        &policies,
-        cache.as_ref(),
-    );
+    let rows = harness::run_cells(args.jobs, &traces, &policies);
     for (kind, row) in kinds.iter().zip(&rows) {
         for ((name, _), cell) in policies.iter().zip(row) {
             let m = &cell.result.metrics;
@@ -83,5 +73,4 @@ fn main() {
     println!();
     println!("Paper: MDLR_unprotected < 1 B/h except ATT; < 0.1 B/h under MTTDL_x;");
     println!("overall MDLR ~4 KB/h everywhere (support-component dominated).");
-    harness::print_cache_stats(cache.as_ref());
 }

@@ -17,7 +17,7 @@ use afraid_sim::stats::geometric_mean;
 use afraid_trace::workloads::WorkloadKind;
 
 fn main() {
-    let args = harness::bench_args();
+    let args = harness::bench_args(harness::DEFAULT_DURATION_SECS);
     println!(
         "Table 4: mean time to data loss; {}s traces, seed {}",
         args.duration.as_secs_f64(),
@@ -70,17 +70,7 @@ fn main() {
         .collect();
     let kinds = WorkloadKind::all();
     let traces = harness::traces_for(&kinds, args.duration, args.jobs);
-    let cache = harness::cell_cache(&args);
-    let rows = harness::run_cells_cached(
-        args.jobs,
-        &kinds,
-        &traces,
-        harness::TRACE_CAPACITY,
-        args.duration,
-        harness::seed(),
-        &run_policies,
-        cache.as_ref(),
-    );
+    let rows = harness::run_cells(args.jobs, &traces, &run_policies);
 
     let mut afraid_mttdl = Vec::new();
     let mut afraid_overall = Vec::new();
@@ -123,5 +113,4 @@ fn main() {
         raid5_overall / geo_overall,
     );
     println!("Paper: 4.3x better than RAID 0; a factor of 1.8 worse than pure RAID 5.");
-    harness::print_cache_stats(cache.as_ref());
 }

@@ -4,11 +4,9 @@
 //! Every bench binary takes the same CLI shape: an optional positional
 //! duration in simulated seconds, plus `--jobs N` to fan independent
 //! experiment cells over N worker threads (default: all cores, or
-//! `AFRAID_JOBS`) and `--cache`/`--no-cache` to replay memoised cell
-//! results from `target/cell-cache` (default off). Results are merged
+//! `AFRAID_JOBS`). Anything else is a usage error. Results are merged
 //! in matrix order, so the printed tables are byte-identical at any
-//! job count — and, by the cache's bit-identity guarantee, whether a
-//! cell was simulated or replayed.
+//! job count.
 
 use std::sync::Arc;
 
@@ -17,12 +15,10 @@ use afraid::driver::{run_trace, RunOptions, RunResult};
 use afraid::policy::ParityPolicy;
 use afraid::report::availability;
 use afraid_avail::report::AvailabilityReport;
-use afraid_exp::{jobs_from_args, map_parallel, run_matrix, CacheKey, CellCache};
-use afraid_sim::queue::SchedulerKind;
+use afraid_exp::{jobs_from_args, map_parallel, run_matrix};
 use afraid_sim::time::SimDuration;
 use afraid_trace::record::Trace;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Logical capacity the synthetic traces address: 7 GB, comfortably
 /// inside the 5 x 2 GB array's ~7.8 GB usable space.
@@ -31,66 +27,59 @@ pub const TRACE_CAPACITY: u64 = 7 * 1024 * 1024 * 1024;
 /// Default simulated duration per run, seconds.
 pub const DEFAULT_DURATION_SECS: u64 = 600;
 
-/// Schema tag baked into every cache key and entry. Bump whenever the
-/// serialized shape of [`RunResult`] (or anything feeding it) changes
-/// in a way the crate version does not capture.
-/// v2: `RunMetrics` gained the integrity-counter block.
-pub const RESULT_SCHEMA: &str = "afraid-cell-v2";
-
 /// Parsed common bench arguments.
 pub struct BenchArgs {
     /// Simulated duration per run.
     pub duration: SimDuration,
     /// Worker threads for cell fan-out.
     pub jobs: usize,
-    /// Replay memoised cell results from the cross-run cache.
-    pub cache: bool,
 }
 
-/// Parses `[duration_secs] [--jobs N] [--cache|--no-cache]` from the
-/// process arguments. The cache defaults to off; the last
-/// `--cache`/`--no-cache` wins.
-pub fn bench_args() -> BenchArgs {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (jobs, rest) = jobs_from_args(&raw);
-    let mut cache = false;
-    let mut positional: Vec<String> = Vec::new();
+/// Parses `[duration_secs] [--jobs N]`. The duration is whole simulated
+/// seconds and defaults to `default_secs`.
+///
+/// # Errors
+///
+/// A one-line reason for an unknown flag, a malformed `--jobs`, a
+/// duration that is not a whole number, or a second positional
+/// argument.
+pub fn parse_bench_args(args: &[String], default_secs: u64) -> Result<BenchArgs, String> {
+    let (jobs, rest) = jobs_from_args(args)?;
+    let mut secs = None;
     for a in rest {
-        match a.as_str() {
-            "--cache" => cache = true,
-            "--no-cache" => cache = false,
-            _ => positional.push(a),
+        if a.starts_with('-') {
+            return Err(format!("unknown flag {a:?}"));
         }
+        if secs.is_some() {
+            return Err(format!("unexpected argument {a:?}"));
+        }
+        let n = a
+            .parse::<u64>()
+            .map_err(|_| format!("duration must be whole simulated seconds, got {a:?}"))?;
+        secs = Some(n);
     }
-    let secs = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_DURATION_SECS);
-    BenchArgs {
-        duration: SimDuration::from_secs(secs),
+    Ok(BenchArgs {
+        duration: SimDuration::from_secs(secs.unwrap_or(default_secs)),
         jobs,
-        cache,
-    }
+    })
 }
 
-/// Opens the cross-run cell cache at its conventional location when
-/// `--cache` was given, `None` otherwise.
-pub fn cell_cache(args: &BenchArgs) -> Option<CellCache> {
-    args.cache
-        .then(|| CellCache::new(CellCache::default_dir(), RESULT_SCHEMA))
-}
-
-/// Prints the cache counter summary if a cache was in use.
-pub fn print_cache_stats(cache: Option<&CellCache>) {
-    if let Some(c) = cache {
-        println!("{}", c.stats().summary());
-    }
-}
-
-/// Reads the duration from the first CLI argument, defaulting to
-/// [`DEFAULT_DURATION_SECS`].
-pub fn duration_from_args() -> SimDuration {
-    bench_args().duration
+/// Parses the process arguments with [`parse_bench_args`]; on error
+/// prints the reason and a usage line, then exits with status 2.
+pub fn bench_args(default_secs: u64) -> BenchArgs {
+    let mut raw = std::env::args();
+    let bin = raw.next().unwrap_or_default();
+    let bin = bin
+        .rsplit(['/', '\\'])
+        .next()
+        .unwrap_or("bench")
+        .to_string();
+    let raw: Vec<String> = raw.collect();
+    parse_bench_args(&raw, default_secs).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        eprintln!("usage: {bin} [duration_secs] [--jobs N]");
+        std::process::exit(2);
+    })
 }
 
 /// Workload seed: `AFRAID_SEED` or 42.
@@ -150,76 +139,8 @@ pub struct Cell {
 
 /// Runs one (workload trace, policy) cell on the paper's array.
 pub fn run_cell(trace: &Trace, policy: ParityPolicy) -> Cell {
-    run_cell_sched(trace, policy, SchedulerKind::default())
-}
-
-/// [`run_cell`] under an explicit event-scheduler backend. The two
-/// backends deliver identical event sequences, so this axis only moves
-/// wall clock — perfbench uses it to compare them.
-pub fn run_cell_sched(trace: &Trace, policy: ParityPolicy, scheduler: SchedulerKind) -> Cell {
-    run_cell_sched_opts(trace, policy, scheduler, &RunOptions::default())
-}
-
-/// [`run_cell_sched`] with explicit run options (fault injections,
-/// parity points). Perfbench's burst cell uses this to layer a
-/// commit-barrier timeline on top of the storm trace.
-pub fn run_cell_sched_opts(
-    trace: &Trace,
-    policy: ParityPolicy,
-    scheduler: SchedulerKind,
-    opts: &RunOptions,
-) -> Cell {
-    let mut cfg = ArrayConfig::paper_default(policy);
-    cfg.scheduler = scheduler;
-    let result = run_trace(&cfg, trace, opts);
-    let avail = availability(&cfg, &result.metrics);
-    Cell { result, avail }
-}
-
-/// Builds the cache key for one cell from its full coordinates: base
-/// seed, trace identity (workload name, addressed capacity, duration),
-/// and the complete array configuration (which embeds the policy,
-/// `ScrubConfig` and `FaultConfig`). The builder itself salts in the
-/// schema tag and crate version. Shared by the bench binaries and
-/// `afraid-cli sweep`, so overlapping grids hit each other's entries.
-pub fn cell_key(
-    cache: &CellCache,
-    cfg: &ArrayConfig,
-    workload: &str,
-    capacity: u64,
-    duration: SimDuration,
-    seed: u64,
-) -> CacheKey {
-    cache
-        .key_builder()
-        .u64(seed)
-        .str(workload)
-        .u64(capacity)
-        .f64(duration.as_secs_f64())
-        .str(&cfg.cache_encoding())
-        .finish()
-}
-
-/// [`run_cell`] with optional cross-run memoisation. On a valid cache
-/// hit the simulation is skipped and the stored `RunResult` replayed;
-/// availability is cheaply recomputed from the replayed metrics.
-pub fn run_cell_cached(
-    trace: &Trace,
-    policy: ParityPolicy,
-    workload: &str,
-    capacity: u64,
-    duration: SimDuration,
-    seed: u64,
-    cache: Option<&CellCache>,
-) -> Cell {
     let cfg = ArrayConfig::paper_default(policy);
-    let result = match cache {
-        Some(c) => {
-            let key = cell_key(c, &cfg, workload, capacity, duration, seed);
-            c.run_cached(&key, || run_trace(&cfg, trace, &RunOptions::default()))
-        }
-        None => run_trace(&cfg, trace, &RunOptions::default()),
-    };
+    let result = run_trace(&cfg, trace, &RunOptions::default());
     let avail = availability(&cfg, &result.metrics);
     Cell { result, avail }
 }
@@ -232,47 +153,8 @@ pub fn run_cells(
     traces: &[Arc<Trace>],
     policies: &[(String, ParityPolicy)],
 ) -> Vec<Vec<Cell>> {
-    run_cells_sched(jobs, traces, policies, SchedulerKind::default())
-}
-
-/// [`run_cells`] under an explicit event-scheduler backend.
-pub fn run_cells_sched(
-    jobs: usize,
-    traces: &[Arc<Trace>],
-    policies: &[(String, ParityPolicy)],
-    scheduler: SchedulerKind,
-) -> Vec<Vec<Cell>> {
-    run_matrix(jobs, traces, policies, move |trace, (_, policy), _| {
-        run_cell_sched(trace, *policy, scheduler)
-    })
-}
-
-/// [`run_cells`] with optional cross-run memoisation. `kinds` must be
-/// the workload list the traces were generated from (same order);
-/// `capacity` and `seed` are the trace-generation coordinates, which
-/// differ between the bench binaries ([`TRACE_CAPACITY`], [`seed`])
-/// and `afraid-cli sweep` (capacity derived from the array).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cells_cached(
-    jobs: usize,
-    kinds: &[WorkloadKind],
-    traces: &[Arc<Trace>],
-    capacity: u64,
-    duration: SimDuration,
-    seed: u64,
-    policies: &[(String, ParityPolicy)],
-    cache: Option<&CellCache>,
-) -> Vec<Vec<Cell>> {
-    run_matrix(jobs, traces, policies, |trace, (_, policy), key| {
-        run_cell_cached(
-            trace,
-            *policy,
-            kinds[key.trace].name(),
-            capacity,
-            duration,
-            seed,
-            cache,
-        )
+    run_matrix(jobs, traces, policies, |trace, (_, policy), _| {
+        run_cell(trace, *policy)
     })
 }
 
@@ -285,29 +167,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     map_parallel(jobs, variants, |_, v| f(v))
-}
-
-/// [`run_variants`] with optional cross-run memoisation: `key_of`
-/// derives each variant's cache key (callers must fold in *every*
-/// coordinate the variant's result depends on — typically via
-/// [`cell_key`] or the cache's raw key builder).
-pub fn run_variants_cached<T, R, F, K>(
-    jobs: usize,
-    variants: &[T],
-    cache: Option<&CellCache>,
-    key_of: K,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&T) -> R + Sync,
-    K: Fn(&CellCache, &T) -> CacheKey + Sync,
-{
-    map_parallel(jobs, variants, |_, v| match cache {
-        Some(c) => c.run_cached(&key_of(c, v), || f(v)),
-        None => f(v),
-    })
 }
 
 /// Formats hours compactly (e.g. `4.2e9 h`).
@@ -388,16 +247,33 @@ mod tests {
         }
     }
 
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_bench_args(&args, DEFAULT_DURATION_SECS)
+    }
+
     #[test]
-    fn scheduler_axis_is_bit_identical() {
-        let trace = trace_for(WorkloadKind::Hplajw, SimDuration::from_secs(10));
-        let heap = run_cell_sched(&trace, ParityPolicy::AlwaysRaid5, SchedulerKind::Heap);
-        let cal = run_cell_sched(&trace, ParityPolicy::AlwaysRaid5, SchedulerKind::Calendar);
-        assert_eq!(
-            serde_json::to_string(&heap.result).unwrap(),
-            serde_json::to_string(&cal.result).unwrap(),
-            "scheduler backends must not change results"
-        );
+    fn bench_args_accept_duration_and_jobs() {
+        let a = parse(&["60", "--jobs", "3"]).unwrap();
+        assert_eq!(a.duration, SimDuration::from_secs(60));
+        assert_eq!(a.jobs, 3);
+        let a = parse(&["--jobs=2"]).unwrap();
+        assert_eq!(a.duration, SimDuration::from_secs(DEFAULT_DURATION_SECS));
+        assert_eq!(a.jobs, 2);
+    }
+
+    #[test]
+    fn bench_args_reject_bad_input_without_panicking() {
+        for bad in [
+            &["--cache"][..],
+            &["6O"],
+            &["--jobs", "0"],
+            &["60", "--jobs"],
+            &["--bogus"],
+            &["60", "60"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!
 //! A cut index is just another cell coordinate, so sweeps over
 //! thousands of cuts fan out through [`afraid_exp::map_parallel`]
-//! (bit-identical at any `--jobs`) and memoise through
-//! [`afraid_exp::CellCache`] (warm sweeps replay from disk).
+//! (bit-identical at any `--jobs`).
 //!
 //! The scenarios ([`scenario::Scenario`]) aim the cuts at the states
 //! the paper's failure-mode table worries about: mid-scrub, mid-
@@ -33,5 +32,5 @@ pub mod sweep;
 pub mod verdict;
 
 pub use scenario::{ChaosSpec, Scenario};
-pub use sweep::{cut_points, summarize, sweep, SweepSummary, CHAOS_SCHEMA};
+pub use sweep::{cut_points, summarize, sweep, SweepSummary};
 pub use verdict::{judge, CutVerdict};

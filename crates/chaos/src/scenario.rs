@@ -58,7 +58,7 @@ impl Scenario {
         Scenario::Corruption,
     ];
 
-    /// Stable name used in CLI flags, cache keys, and reports.
+    /// Stable name used in CLI flags and reports.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::Baseline => "baseline",

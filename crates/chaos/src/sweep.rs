@@ -3,20 +3,14 @@
 //! The cut index is an ordinary cell coordinate: each cut replays the
 //! simulation deterministically from event 0, so verdicts are pure
 //! functions of `(scenario, seed, duration, cut)` — bit-identical at
-//! any `--jobs` count, and memoisable in the cross-run cell cache.
+//! any `--jobs` count.
 
-use afraid_exp::{map_parallel, CacheKey, CellCache};
+use afraid_exp::map_parallel;
 use afraid_trace::record::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::ChaosSpec;
 use crate::verdict::CutVerdict;
-
-/// Cache schema tag for chaos cut cells. Bump when the verdict shape
-/// or the recovery semantics change.
-/// v2: silent-corruption injection, the power-on checksum cross-check,
-/// and the corruption fields in [`CutVerdict`].
-pub const CHAOS_SCHEMA: &str = "afraid-chaos-cut-v2";
 
 /// `n` cut points spread evenly over `[1, total_events]`, deduplicated
 /// and sorted. Cut 0 (crash before any event) is always included: the
@@ -39,38 +33,9 @@ pub fn cut_points(total_events: u64, n: usize) -> Vec<u64> {
     cuts
 }
 
-/// The cache key of one cut cell: every coordinate that can change the
-/// verdict, plus the scenario's full config encoding so a config tweak
-/// orphans stale entries.
-pub fn cut_key(cache: &CellCache, spec: &ChaosSpec, trace: &Trace, cut: u64) -> CacheKey {
-    cache
-        .key_builder()
-        .str("chaos-cut")
-        .str(spec.scenario.name())
-        .str(&spec.cfg.cache_encoding())
-        .str(&format!("{:?}", spec.opts))
-        .str(&trace.name)
-        .f64(spec.duration.as_secs_f64())
-        .u64(spec.seed)
-        .u64(spec.kill_disk_at_cut.map_or(u64::MAX, u64::from))
-        .u64(u64::from(spec.kill_nvram_at_cut))
-        .u64(cut)
-        .finish()
-}
-
-/// Runs (or replays from cache) the verdicts for every cut, in input
-/// order, `jobs`-parallel.
-pub fn sweep(
-    spec: &ChaosSpec,
-    trace: &Trace,
-    cuts: &[u64],
-    jobs: usize,
-    cache: Option<&CellCache>,
-) -> Vec<CutVerdict> {
-    map_parallel(jobs, cuts, |_, &cut| match cache {
-        Some(c) => c.run_cached(&cut_key(c, spec, trace, cut), || spec.run_cut(trace, cut)),
-        None => spec.run_cut(trace, cut),
-    })
+/// Runs the verdicts for every cut, in input order, `jobs`-parallel.
+pub fn sweep(spec: &ChaosSpec, trace: &Trace, cuts: &[u64], jobs: usize) -> Vec<CutVerdict> {
+    map_parallel(jobs, cuts, |_, &cut| spec.run_cut(trace, cut))
 }
 
 /// Aggregate of one scenario's sweep, for reports and CI gates.

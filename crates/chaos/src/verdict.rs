@@ -45,7 +45,7 @@ use afraid_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// The judged result of one cut. Serialisable and bit-stable: this is
-/// the cell payload the cross-run cache memoises.
+/// the per-cut row the chaos reports emit.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CutVerdict {
     /// Requested cut point (events to process before the power cut).

@@ -3,7 +3,6 @@
 use afraid_avail::params::ModelParams;
 use afraid_disk::model::DiskModel;
 use afraid_disk::sched::Policy;
-use afraid_sim::queue::SchedulerKind;
 use afraid_sim::time::{SimDuration, SimTime};
 
 use crate::nvram::MarkGranularity;
@@ -55,11 +54,6 @@ pub struct ArrayConfig {
     pub faults: FaultConfig,
     /// Silent-corruption injection and checksum verification knobs.
     pub integrity: IntegrityConfig,
-    /// Event-queue scheduler backend. A pure performance switch: the
-    /// heap and calendar backends deliver identical event sequences
-    /// (enforced by the scheduler-equivalence tier-1 tests), so run
-    /// results are byte-identical whichever is chosen.
-    pub scheduler: SchedulerKind,
 }
 
 /// Configuration of the latent sector error process and the
@@ -253,7 +247,6 @@ impl ArrayConfig {
             scrub: ScrubConfig::default(),
             faults: FaultConfig::default(),
             integrity: IntegrityConfig::default(),
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -277,56 +270,12 @@ impl ArrayConfig {
             scrub: ScrubConfig::default(),
             faults: FaultConfig::default(),
             integrity: IntegrityConfig::default(),
-            scheduler: SchedulerKind::default(),
         }
     }
 
     /// Number of data disks (`disks - 1`).
     pub fn n_data(&self) -> u32 {
         self.disks - 1
-    }
-
-    /// Stable textual encoding of every configuration field, used by
-    /// the cross-run cell cache as key material.
-    ///
-    /// The exhaustive destructuring (no `..`) makes the compiler
-    /// enforce completeness: a newly added field fails this function
-    /// until it is rendered, so stale cache entries keyed on an older
-    /// shape can never be confused with the new one. Lint rule d5
-    /// checks the same property structurally, plus that every embedded
-    /// struct renders through derived (bit-complete) `Debug`. Float
-    /// fields are rendered with Rust's shortest round-trip formatting,
-    /// which is injective on bit patterns.
-    pub fn cache_encoding(&self) -> String {
-        let ArrayConfig {
-            disks,
-            stripe_unit_bytes,
-            disk_model,
-            policy,
-            host_policy,
-            idle_delay,
-            scrub_batch,
-            mark_granularity,
-            read_cache_bytes,
-            params,
-            shadow,
-            spin_synchronized,
-            regions,
-            scrub,
-            faults,
-            integrity,
-            scheduler,
-        } = self;
-        format!(
-            "disks:{disks:?};stripe_unit_bytes:{stripe_unit_bytes:?};\
-             disk_model:{disk_model:?};policy:{policy:?};\
-             host_policy:{host_policy:?};idle_delay:{idle_delay:?};\
-             scrub_batch:{scrub_batch:?};mark_granularity:{mark_granularity:?};\
-             read_cache_bytes:{read_cache_bytes:?};params:{params:?};\
-             shadow:{shadow:?};spin_synchronized:{spin_synchronized:?};\
-             regions:{regions:?};scrub:{scrub:?};faults:{faults:?};\
-             integrity:{integrity:?};scheduler:{scheduler:?}"
-        )
     }
 
     /// Validates the configuration.
@@ -459,85 +408,6 @@ mod tests {
         assert!(ArrayConfig::small_test(ParityPolicy::AlwaysRaid5)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn cache_encoding_distinguishes_every_mutated_field() {
-        let base = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
-        let mutations: Vec<(&str, ArrayConfig)> = vec![
-            ("disks", {
-                let mut c = base.clone();
-                c.disks = 6;
-                c
-            }),
-            ("stripe_unit_bytes", {
-                let mut c = base.clone();
-                c.stripe_unit_bytes = 16384;
-                c
-            }),
-            (
-                "policy",
-                ArrayConfig::paper_default(ParityPolicy::AlwaysRaid5),
-            ),
-            ("idle_delay", {
-                let mut c = base.clone();
-                c.idle_delay = SimDuration::from_millis(200);
-                c
-            }),
-            ("scrub_batch", {
-                let mut c = base.clone();
-                c.scrub_batch = base.scrub_batch + 1;
-                c
-            }),
-            ("read_cache_bytes", {
-                let mut c = base.clone();
-                c.read_cache_bytes = base.read_cache_bytes * 2;
-                c
-            }),
-            ("shadow", {
-                let mut c = base.clone();
-                c.shadow = !base.shadow;
-                c
-            }),
-            ("spin_synchronized", {
-                let mut c = base.clone();
-                c.spin_synchronized = !base.spin_synchronized;
-                c
-            }),
-            ("scrub.iops_budget", {
-                let mut c = base.clone();
-                c.scrub.iops_budget += 1.0;
-                c
-            }),
-            ("faults", {
-                let mut c = base.clone();
-                c.faults.media_error_per_io += 0.5;
-                c
-            }),
-            ("integrity", {
-                let mut c = base.clone();
-                c.integrity.lost_write_per_io += 0.5;
-                c
-            }),
-            ("integrity.verify_reads", {
-                let mut c = base.clone();
-                c.integrity.verify_reads = true;
-                c
-            }),
-            ("scheduler", {
-                let mut c = base.clone();
-                c.scheduler = SchedulerKind::Calendar;
-                c
-            }),
-        ];
-        let origin = base.cache_encoding();
-        for (field, mutated) in &mutations {
-            assert_ne!(
-                origin,
-                mutated.cache_encoding(),
-                "mutating `{field}` left the cache encoding unchanged"
-            );
-        }
     }
 
     #[test]

@@ -532,7 +532,7 @@ impl Controller {
             reqs: Vec::new(),
             free_slots: Vec::new(),
             admitted: 0,
-            events: EventQueue::with_scheduler(cfg.scheduler),
+            events: EventQueue::new(),
             now: SimTime::ZERO,
             idle_event: None,
             scrub: None,

@@ -14,7 +14,8 @@
 //! byte-check. Because both entry points share one step function, a
 //! cut at `k` events observes exactly the state `run_trace` passed
 //! through after its `k`-th event — the cut index is a pure
-//! coordinate, which is what makes chaos sweeps cell-cacheable.
+//! coordinate, which is what lets chaos sweeps fan cuts out as
+//! independent cells.
 
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::Trace;

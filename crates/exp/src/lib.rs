@@ -19,17 +19,9 @@
 //!
 //! The engine is generic over the cell function: `crates/bench` feeds
 //! it full simulation runs, while unit tests feed it toy closures.
-//!
-//! Because the lint gate proves each cell is a pure function of its
-//! coordinates, results can also be memoised *across* runs:
-//! [`cache::CellCache`] hashes the full coordinates with the fixed
-//! [`afraid_sim::hash`] hasher and replays serialized results
-//! bit-identically from `target/cell-cache/`.
 
-pub mod cache;
 pub mod matrix;
 pub mod pool;
 
-pub use cache::{CacheKey, CacheStats, CellCache, KeyBuilder};
 pub use matrix::{cell_rng, cell_seed, generate_traces, run_matrix, CellKey};
 pub use pool::{default_jobs, jobs_from_args, map_parallel};

@@ -23,30 +23,31 @@ pub fn default_jobs() -> usize {
 /// returning the resolved job count and the remaining arguments.
 /// Falls back to [`default_jobs`] when the flag is absent.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with a usage message if the flag is present but malformed.
-pub fn jobs_from_args(args: &[String]) -> (usize, Vec<String>) {
+/// A usage message if the flag is present but its value is missing or
+/// not a positive integer.
+pub fn jobs_from_args(args: &[String]) -> Result<(usize, Vec<String>), String> {
     let mut jobs = None;
     let mut rest = Vec::with_capacity(args.len());
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--jobs" {
-            let v = it.next().unwrap_or_else(|| panic!("--jobs needs a value"));
-            jobs = Some(parse_jobs(v));
+            let v = it.next().ok_or("--jobs needs a value")?;
+            jobs = Some(parse_jobs(v)?);
         } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = Some(parse_jobs(v));
+            jobs = Some(parse_jobs(v)?);
         } else {
             rest.push(a.clone());
         }
     }
-    (jobs.unwrap_or_else(default_jobs), rest)
+    Ok((jobs.unwrap_or_else(default_jobs), rest))
 }
 
-fn parse_jobs(v: &str) -> usize {
+fn parse_jobs(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => panic!("--jobs expects a positive integer, got {v:?}"),
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
     }
 }
 
@@ -167,16 +168,29 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (jobs, rest) = jobs_from_args(&args);
+        let (jobs, rest) = jobs_from_args(&args).unwrap();
         assert_eq!(jobs, 3);
         assert_eq!(rest, vec!["600".to_string(), "extra".to_string()]);
 
         let args: Vec<String> = vec!["--jobs=7".to_string()];
-        let (jobs, rest) = jobs_from_args(&args);
+        let (jobs, rest) = jobs_from_args(&args).unwrap();
         assert_eq!(jobs, 7);
         assert!(rest.is_empty());
 
-        let (jobs, _) = jobs_from_args(&[]);
+        let (jobs, _) = jobs_from_args(&[]).unwrap();
         assert!(jobs >= 1);
+    }
+
+    #[test]
+    fn malformed_jobs_flag_is_an_error() {
+        for bad in [
+            &["--jobs"][..],
+            &["--jobs", "0"],
+            &["--jobs=x"],
+            &["--jobs", "-2"],
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            assert!(jobs_from_args(&args).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

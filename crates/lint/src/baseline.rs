@@ -22,15 +22,10 @@ use crate::rules::Finding;
 /// Allow counts keyed `(rule, file)`, deterministically ordered.
 pub type AllowCounts = BTreeMap<(String, String), u32>;
 
-/// The `[schema]` section: schema-tag constant name → `"tag@fp"`
-/// (D6's committed fingerprints).
-pub type SchemaMap = BTreeMap<String, String>;
-
 /// Parses baseline text. Unparseable lines are reported as findings
 /// against the baseline file itself rather than ignored.
-pub fn parse(file: &str, src: &str) -> (AllowCounts, SchemaMap, Vec<Finding>) {
+pub fn parse(file: &str, src: &str) -> (AllowCounts, Vec<Finding>) {
     let mut counts = AllowCounts::new();
-    let mut schema = SchemaMap::new();
     let mut findings = Vec::new();
     let mut rule = String::new();
     for (idx, raw) in src.lines().enumerate() {
@@ -41,29 +36,6 @@ pub fn parse(file: &str, src: &str) -> (AllowCounts, SchemaMap, Vec<Finding>) {
         }
         if line.starts_with('[') && line.ends_with(']') {
             rule = line.trim_matches(['[', ']']).to_string();
-            continue;
-        }
-        if rule == "schema" {
-            // `"CONST" = "tag@fp"` — string-valued entries.
-            let parsed = (|| {
-                let rest = line.strip_prefix('"')?;
-                let (name, rest) = rest.split_once('"')?;
-                let rest = rest.trim().strip_prefix('=')?.trim();
-                let rest = rest.strip_prefix('"')?;
-                let (value, _) = rest.split_once('"')?;
-                Some((name.to_string(), value.to_string()))
-            })();
-            match parsed {
-                Some((name, value)) => {
-                    schema.insert(name, value);
-                }
-                None => findings.push(Finding::new(
-                    file,
-                    lineno,
-                    "meta",
-                    format!("unparseable baseline [schema] line: {line:?}"),
-                )),
-            }
             continue;
         }
         let parsed = (|| {
@@ -84,21 +56,16 @@ pub fn parse(file: &str, src: &str) -> (AllowCounts, SchemaMap, Vec<Finding>) {
             )),
         }
     }
-    (counts, schema, findings)
+    (counts, findings)
 }
 
-/// Serializes counts and schema fingerprints in the canonical
-/// (sorted, stable) form.
-pub fn render(counts: &AllowCounts, schema: &SchemaMap) -> String {
+/// Serializes counts in the canonical (sorted, stable) form.
+pub fn render(counts: &AllowCounts) -> String {
     let mut out = String::from(
         "# afraid-lint allow baseline — counts of inline `lint:allow` annotations\n\
          # per rule and file. Regenerate with `afraid-lint --write-baseline`; CI\n\
          # fails when a count grows (new exception) or silently shrinks (stale\n\
-         # baseline), so the numbers only ratchet down.\n\
-         #\n\
-         # The [schema] section pins each schema tag to a structural\n\
-         # fingerprint of the result shapes behind it (rule d6): changing a\n\
-         # shape without bumping its tag fails the gate.\n",
+         # baseline), so the numbers only ratchet down.\n",
     );
     let mut current_rule = "";
     for ((rule, file), count) in counts {
@@ -107,12 +74,6 @@ pub fn render(counts: &AllowCounts, schema: &SchemaMap) -> String {
             current_rule = rule;
         }
         out.push_str(&format!("\"{file}\" = {count}\n"));
-    }
-    if !schema.is_empty() {
-        out.push_str("\n[schema]\n");
-        for (name, value) in schema {
-            out.push_str(&format!("\"{name}\" = \"{value}\"\n"));
-        }
     }
     out
 }
@@ -170,22 +131,9 @@ mod tests {
     #[test]
     fn roundtrip() {
         let c = counts(&[("d1", "a.rs", 2), ("d3", "b.rs", 5), ("d3", "a.rs", 1)]);
-        let s: SchemaMap = [
-            (
-                "RESULT_SCHEMA".to_string(),
-                "afraid-cell-v2@00ff00ff00ff00ff".to_string(),
-            ),
-            (
-                "CHAOS_SCHEMA".to_string(),
-                "afraid-chaos-cut-v2@123456789abcdef0".to_string(),
-            ),
-        ]
-        .into_iter()
-        .collect();
-        let (parsed, schema, errs) = parse("lint-baseline.toml", &render(&c, &s));
+        let (parsed, errs) = parse("lint-baseline.toml", &render(&c));
         assert!(errs.is_empty());
         assert_eq!(parsed, c);
-        assert_eq!(schema, s);
     }
 
     #[test]
@@ -220,10 +168,7 @@ mod tests {
 
     #[test]
     fn garbage_lines_are_findings() {
-        let (_, _, errs) = parse("bl.toml", "[d3]\nwhat even is this\n");
+        let (_, errs) = parse("bl.toml", "[d3]\nwhat even is this\n");
         assert_eq!(errs.len(), 1);
-        let (_, _, errs) = parse("bl.toml", "[schema]\n\"TAG\" = 3\n");
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].message.contains("[schema]"));
     }
 }

@@ -1,9 +1,8 @@
-//! The workspace call graph and struct-embedding closure.
+//! The workspace call graph.
 //!
 //! Built from the per-file [`crate::symbols`] facts, this is the
-//! substrate for the workspace rules: D5 walks the struct-embedding
-//! closure rooted at `ArrayConfig`, D7 walks call edges from the
-//! event-loop entry points to every reachable panic site.
+//! substrate for the workspace rule D7, which walks call edges from
+//! the event-loop entry points to every reachable panic site.
 //!
 //! Resolution is deliberately *name-based and over-approximate*: a
 //! call `dispatch(` edges to **every** workspace fn named `dispatch`,
@@ -14,9 +13,9 @@
 //! `BTreeMap`, all worklists are sorted, so findings and stats are
 //! byte-stable across runs and platforms.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::symbols::{ConstStr, FileSymbols, FnSym, StructSym};
+use crate::symbols::{FileSymbols, FnSym, StructSym};
 
 /// Headline numbers for `--json` and the CI artifact.
 #[derive(Clone, Copy, Debug, Default)]
@@ -40,14 +39,8 @@ pub struct GraphStats {
 pub struct Graph {
     pub fns: Vec<FnSym>,
     pub structs: Vec<StructSym>,
-    pub consts: Vec<ConstStr>,
-    /// Manual trait impls per (trait, type) — D5 checks `("Debug", T)`.
-    pub manual_impls: BTreeMap<(String, String), (String, u32)>,
     /// fn name → node ids (every fn with that name).
     fn_by_name: BTreeMap<String, Vec<usize>>,
-    /// struct name → node id (first definition wins; duplicate names
-    /// across crates are rare and D5/D6 name their roots uniquely).
-    struct_by_name: BTreeMap<String, usize>,
     /// caller node id → callee node ids, deduplicated and sorted.
     edges: Vec<Vec<usize>>,
 }
@@ -65,22 +58,7 @@ impl Graph {
                     .push(g.fns.len());
                 g.fns.push(f.clone());
             }
-            for s in &fs.structs {
-                g.struct_by_name
-                    .entry(s.name.clone())
-                    .or_insert(g.structs.len());
-                g.structs.push(s.clone());
-            }
-            for c in &fs.consts {
-                g.consts.push(c.clone());
-            }
-            for im in &fs.impls {
-                if let Some(tr) = &im.trait_name {
-                    g.manual_impls
-                        .entry((tr.clone(), im.type_name.clone()))
-                        .or_insert((im.file.clone(), im.line));
-                }
-            }
+            g.structs.extend(fs.structs.iter().cloned());
         }
         g.edges = g
             .fns
@@ -104,16 +82,6 @@ impl Graph {
     /// Node ids of every fn with this name.
     pub fn fns_named(&self, name: &str) -> &[usize] {
         self.fn_by_name.get(name).map_or(&[], Vec::as_slice)
-    }
-
-    /// The struct with this name, if defined in the workspace.
-    pub fn struct_named(&self, name: &str) -> Option<&StructSym> {
-        self.struct_by_name.get(name).map(|&i| &self.structs[i])
-    }
-
-    /// The string constant with this name, if defined.
-    pub fn const_named(&self, name: &str) -> Option<&ConstStr> {
-        self.consts.iter().find(|c| c.name == name)
     }
 
     /// BFS from the named entry fns over call edges. Returns, for each
@@ -169,40 +137,6 @@ impl Graph {
         names.join(" -> ")
     }
 
-    /// The transitive struct-embedding closure from `root`: every
-    /// workspace struct/enum reachable through field (or variant
-    /// payload, or tuple payload) type identifiers. The root itself is
-    /// included. Cycles are guarded by the visited set.
-    pub fn embedded_closure(&self, root: &str) -> Vec<&StructSym> {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut order: Vec<&StructSym> = Vec::new();
-        let mut stack: Vec<&str> = vec![root];
-        while let Some(name) = stack.pop() {
-            if !seen.insert(name) {
-                continue;
-            }
-            let Some(s) = self.struct_named(name) else {
-                continue;
-            };
-            order.push(s);
-            let mut referenced: Vec<&str> = Vec::new();
-            for f in &s.fields {
-                referenced.extend(f.type_idents.iter().map(String::as_str));
-            }
-            referenced.extend(s.tuple_type_idents.iter().map(String::as_str));
-            referenced.sort_unstable();
-            referenced.dedup();
-            // Reverse so the (LIFO) stack visits in sorted order —
-            // keeps `order` deterministic.
-            for r in referenced.into_iter().rev() {
-                if self.struct_by_name.contains_key(r) && !seen.contains(r) {
-                    stack.push(r);
-                }
-            }
-        }
-        order
-    }
-
     /// Graph-wide statistics. `reachable_panic_sites` counts sites in
     /// fns reached from `entries`.
     pub fn stats(&self, entries: &[&str]) -> GraphStats {
@@ -219,50 +153,6 @@ impl Graph {
                 .sum(),
         }
     }
-}
-
-/// A stable 64-bit FNV-1a over a struct shape, for D6's fingerprints.
-/// The digest covers the *sorted transitive closure* of shapes under
-/// `roots`: item kind + name + ordered field/variant names + their
-/// type identifiers. Field reorders, renames, additions, removals and
-/// type changes all move the fingerprint; formatting, comments and
-/// derives do not.
-pub fn shape_fingerprint(g: &Graph, roots: &[&str]) -> u64 {
-    let mut shapes: Vec<String> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    for root in roots {
-        for s in g.embedded_closure(root) {
-            if !seen.insert(s.name.clone()) {
-                continue;
-            }
-            let mut line = String::new();
-            line.push_str(if s.is_enum { "enum " } else { "struct " });
-            line.push_str(&s.name);
-            for f in &s.fields {
-                line.push_str(" | ");
-                line.push_str(&f.name);
-                line.push(':');
-                line.push_str(&f.type_idents.join(" "));
-            }
-            if !s.tuple_type_idents.is_empty() {
-                line.push_str(" | (");
-                line.push_str(&s.tuple_type_idents.join(" "));
-                line.push(')');
-            }
-            shapes.push(line);
-        }
-    }
-    shapes.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in &shapes {
-        for b in line.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -311,67 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn embedded_closure_walks_field_types() {
-        let g = graph_of(&[(
-            "a.rs",
-            br#"
-            struct Root { a: u32, nested: Mid, opt: Option<Leaf> }
-            struct Mid { t: Wrapped }
-            struct Wrapped(u64);
-            struct Leaf { z: u8 }
-            struct Unrelated { q: u8 }
-            "#,
-        )]);
-        let names: Vec<&str> = g
-            .embedded_closure("Root")
-            .iter()
-            .map(|s| s.name.as_str())
-            .collect();
-        assert_eq!(names, ["Root", "Leaf", "Mid", "Wrapped"]);
-    }
-
-    #[test]
-    fn fingerprint_moves_on_shape_changes_only() {
-        let base = br#"struct R { a: u32, b: Mid } struct Mid { x: u64 }"#;
-        let fp = |src: &[u8]| shape_fingerprint(&graph_of(&[("a.rs", src)]), &["R"]);
-        let fp0 = fp(base);
-        // Comments and derives don't move it.
-        assert_eq!(
-            fp0,
-            fp(br#"// hi
-                #[derive(Clone)] struct R { a: u32, b: Mid } struct Mid { x: u64 }"#)
-        );
-        // A new field, a rename, a type change, a nested change all do.
-        assert_ne!(
-            fp0,
-            fp(br#"struct R { a: u32, b: Mid, c: u8 } struct Mid { x: u64 }"#)
-        );
-        assert_ne!(
-            fp0,
-            fp(br#"struct R { a2: u32, b: Mid } struct Mid { x: u64 }"#)
-        );
-        assert_ne!(
-            fp0,
-            fp(br#"struct R { a: i32, b: Mid } struct Mid { x: u64 }"#)
-        );
-        assert_ne!(
-            fp0,
-            fp(br#"struct R { a: u32, b: Mid } struct Mid { x: u32 }"#)
-        );
-    }
-
-    #[test]
     fn cycles_terminate() {
         let g = graph_of(&[(
             "a.rs",
             br#"
-            struct A { b: Box<B> }
-            struct B { a: Box<A> }
             fn f() { g(); }
             fn g() { f(); }
             "#,
         )]);
-        assert_eq!(g.embedded_closure("A").len(), 2);
         assert_eq!(g.reachable(&["f"]).len(), 2);
     }
 }

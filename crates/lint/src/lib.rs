@@ -25,21 +25,17 @@
 //!   opt-in in every source crate, and no `cfg!(test)` runtime
 //!   branches in library code.
 //!
-//! Rules d5–d7 run over the workspace **symbol graph** (see
-//! [`symbols`], [`graph`], [`wsrules`]) rather than per file:
+//! Rule d7 runs over the workspace **symbol graph** (see [`symbols`],
+//! [`graph`], [`wsrules`]) rather than per file:
 //!
-//! * **d5** — cache-key completeness: every `ArrayConfig` field (and
-//!   every struct transitively embedded in it) must reach
-//!   `cache_encoding()`; manual `Debug` impls in the closure need a
-//!   reviewed-injective annotation.
-//! * **d6** — schema-tag drift: structural fingerprints of the
-//!   serialized result shapes are pinned in `lint-baseline.toml`;
-//!   changing a shape without bumping its tag fails.
 //! * **d7** — call-graph panic reachability: d3's panic budget,
 //!   extended from the hot-path allowlist to everything reachable
 //!   from `run_trace`/`run_to_cut`.
 //! * **d8** — concurrency hygiene in the thread-spawning `exp` crate:
 //!   `static mut`, `Ordering::Relaxed`, non-scoped `thread::spawn`.
+//!
+//! Rule ids d5 and d6 (cache-key completeness and schema-tag drift)
+//! were retired together with the cross-run cell cache they guarded.
 //!
 //! See `DESIGN.md` §10 and §15 for the rationale behind each rule.
 
@@ -59,7 +55,6 @@ pub use rules::{lint_source, FileClass, Finding};
 
 use baseline::AllowCounts;
 use graph::{Graph, GraphStats};
-use wsrules::SchemaProbe;
 
 /// The deterministic crate set: results must be a pure function of
 /// explicit inputs everywhere in here.
@@ -74,7 +69,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/integrity.rs",
     "crates/disk/src/sched.rs",
     "crates/sim/src/queue.rs",
-    "crates/sim/src/queue/calendar.rs",
 ];
 
 /// The sanctioned deterministic-hasher wrapper module (defines the
@@ -93,8 +87,6 @@ pub struct Report {
     pub allows: AllowCounts,
     /// Files scanned (repo-relative), for reporting.
     pub files_scanned: usize,
-    /// Measured schema-tag probes (D6), for baseline writing/diffing.
-    pub schema: Vec<SchemaProbe>,
     /// Symbol-graph statistics, for `--json` and the CI artifact.
     pub graph: GraphStats,
 }
@@ -203,17 +195,9 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
         }
     }
 
-    // Workspace rules over the assembled symbol graph.
+    // Workspace rule over the assembled symbol graph.
     let graph = Graph::build(&file_symbols);
-    let mut ws_findings = wsrules::check_cache_key(&graph, wsrules::D5_ROOT.0, wsrules::D5_ROOT.1);
-    let (probes, d6_findings) = wsrules::probe_schemas(&graph, wsrules::D6_BINDINGS);
-    ws_findings.extend(d6_findings);
-    ws_findings.extend(wsrules::check_panic_reachability(
-        &graph,
-        wsrules::D7_ENTRIES,
-        &d7_covered,
-    ));
-    report.schema = probes;
+    let ws_findings = wsrules::check_panic_reachability(&graph, wsrules::D7_ENTRIES, &d7_covered);
     report.graph = graph.stats(wsrules::D7_ENTRIES);
 
     // Match graph findings against the per-file allows exported above:
@@ -269,27 +253,12 @@ pub fn apply_baseline(report: &mut Report, root: &Path, rel_path: &str) {
             return;
         }
     };
-    let (committed, schema, mut errs) = baseline::parse(rel_path, &src);
+    let (committed, mut errs) = baseline::parse(rel_path, &src);
     report.findings.append(&mut errs);
     report
         .findings
         .extend(baseline::diff(rel_path, &report.allows, &committed));
-    report.findings.extend(wsrules::check_schema_drift(
-        rel_path,
-        &report.schema,
-        &schema,
-    ));
     report.findings.sort();
-}
-
-/// The measured `[schema]` section for `--write-baseline`: const name
-/// → `tag@fingerprint`.
-pub fn schema_section(report: &Report) -> baseline::SchemaMap {
-    report
-        .schema
-        .iter()
-        .map(|p| (p.const_name.clone(), p.entry()))
-        .collect()
 }
 
 /// Renders findings as JSON (machine-readable, stable order). Shape:
@@ -329,20 +298,8 @@ pub fn to_json(report: &Report) -> String {
     ));
     let g = &report.graph;
     out.push_str(&format!(
-        "  \"graph\": {{\"fns\": {}, \"structs\": {}, \"call_edges\": {}, \"panic_sites\": {}, \"reachable_panic_sites\": {}}},\n",
+        "  \"graph\": {{\"fns\": {}, \"structs\": {}, \"call_edges\": {}, \"panic_sites\": {}, \"reachable_panic_sites\": {}}}\n}}\n",
         g.fns, g.structs, g.call_edges, g.panic_sites, g.reachable_panic_sites
     ));
-    out.push_str("  \"schema\": {");
-    for (i, p) in report.schema.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\"{}\": \"{}\"",
-            esc(&p.const_name),
-            esc(&p.entry())
-        ));
-    }
-    out.push_str("}\n}\n");
     out
 }

@@ -14,7 +14,7 @@
 //!   (requires `--baseline`); use after reviewing a new exception or
 //!   removing an old one.
 //! * `--json` — machine-readable findings with file:line spans, plus
-//!   symbol-graph stats and the measured schema fingerprints.
+//!   symbol-graph stats.
 //! * `--explain RULE` — print the rule's rationale and an example
 //!   finding, then exit.
 
@@ -36,10 +36,10 @@ const EXPLANATIONS: &[(&str, &str, &str)] = &[
          crates. A cell's outcome must be a pure function of its coordinates (trace \
          seed, duration, policy, config); SystemTime, Instant, thread_rng, env::var \
          and fs reads make it depend on when/where the run happened. The bench crate \
-         is allowlisted for timing; sound cache/persistence exceptions carry an \
-         inline `lint:allow(d1) <reason>`.",
-        "crates/exp/src/cache.rs:88: [d1] `fs::read` in a deterministic crate: \
-         file-system state is an ambient input (...)",
+         is allowlisted for timing; sound exceptions carry an inline \
+         `lint:allow(d1) <reason>`.",
+        "crates/exp/src/pool.rs:10: [d1] `env::var` in a deterministic crate: \
+         ambient environment reads are invisible inputs (...)",
     ),
     (
         "d2",
@@ -53,7 +53,7 @@ const EXPLANATIONS: &[(&str, &str, &str)] = &[
     (
         "d3",
         "Panic-freedom budget in the event-loop hot path (controller, integrity, \
-         sched, queue, calendar): .unwrap()/.expect(), panic!-family macros and \
+         sched, queue): .unwrap()/.expect(), panic!-family macros and \
          slice indexing are flagged unless the invariant is annotated. A panic in \
          the hot path kills every parallel job sharing the process.",
         "crates/core/src/controller.rs:210: [d3] `.unwrap()` in the event-loop hot \
@@ -68,32 +68,6 @@ const EXPLANATIONS: &[(&str, &str, &str)] = &[
          builds).",
         "crates/exp/Cargo.toml:14: [d4] registry dependency `rand = \"0.8\"` \
          bypasses the vendored, locked dependency set (...)",
-    ),
-    (
-        "d5",
-        "Cache-key completeness (workspace rule). ArrayConfig::cache_encoding() \
-         must be injective or warm runs replay the wrong cell: every ArrayConfig \
-         field must be referenced in cache_encoding(), and every workspace struct \
-         transitively embedded in the config must render through derived Debug — a \
-         hand-written Debug impl can round away distinguishing bits (this repo's \
-         SimTime once printed {:.3}s, merging configs that differed below a \
-         millisecond). Reviewed-injective manual impls carry `lint:allow(d5)`.",
-        "crates/core/src/config.rs:61: [d5] field `scheduler` of `ArrayConfig` is \
-         never referenced in `cache_encoding()` — an un-salted field means two \
-         different configs share a cache key (...)",
-    ),
-    (
-        "d6",
-        "Schema-tag drift (workspace rule). The serialized result shapes \
-         (RunMetrics/RunResult behind RESULT_SCHEMA, the chaos verdict behind \
-         CHAOS_SCHEMA) are structurally fingerprinted — item kind, name, ordered \
-         fields and their type identifiers, over the transitive embedding closure — \
-         and pinned as `tag@fingerprint` in lint-baseline.toml's [schema] section. \
-         Changing a shape without bumping its tag fails the gate: cached cells \
-         written under the old shape would otherwise replay into the new one.",
-        "crates/bench/src/harness.rs:38: [d6] the result shape behind \
-         `RESULT_SCHEMA` changed (fingerprint 6b... -> 9d...) but the schema tag \
-         is still \"afraid-cell-v2\" (...)",
     ),
     (
         "d7",
@@ -116,7 +90,7 @@ const EXPLANATIONS: &[(&str, &str, &str)] = &[
          result-affecting), and non-scoped `thread::spawn` escapes the pool's \
          join/propagate-panic discipline. Free counters nobody reads back may keep \
          Relaxed with an annotation.",
-        "crates/exp/src/cache.rs:41: [d8] `Ordering::Relaxed` in a thread-spawning \
+        "crates/exp/src/pool.rs:91: [d8] `Ordering::Relaxed` in a thread-spawning \
          crate: no happens-before edge, so cross-thread reads may see stale \
          values (...)",
     ),
@@ -191,10 +165,7 @@ fn main() -> ExitCode {
 
     if let Some(rel) = &baseline {
         if write_baseline {
-            let rendered = afraid_lint::baseline::render(
-                &report.allows,
-                &afraid_lint::schema_section(&report),
-            );
+            let rendered = afraid_lint::baseline::render(&report.allows);
             if let Err(e) = std::fs::write(root.join(rel), rendered) {
                 eprintln!("afraid-lint: cannot write baseline {rel}: {e}");
                 return ExitCode::from(2);

@@ -56,13 +56,13 @@ pub struct FileClass {
 }
 
 /// Rule ids that inline annotations may name.
-pub const RULES: &[&str] = &["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8"];
+pub const RULES: &[&str] = &["d1", "d2", "d3", "d4", "d7", "d8"];
 
 /// Rules evaluated over the workspace symbol graph rather than per
 /// file. Their `lint:allow` annotations are matched *after* the graph
 /// rules run (see [`crate::run_workspace`]); `lint_source` exports
 /// them instead of flagging them unused.
-pub const GRAPH_RULES: &[&str] = &["d5", "d7"];
+pub const GRAPH_RULES: &[&str] = &["d7"];
 
 /// D1: ambient wall-clock / OS-entropy identifiers. Any of these in a
 /// result-affecting path makes a cell's outcome depend on when or
@@ -103,7 +103,7 @@ pub struct FileReport {
     pub findings: Vec<Finding>,
     /// Used allow annotations per rule, for the baseline ratchet.
     pub allows_used: Vec<(String, u32)>,
-    /// Annotations naming a graph rule (`d5`, `d7`), exported as
+    /// Annotations naming a graph rule (`d7`), exported as
     /// `(rule, line, last_line)` for post-graph matching: whether they
     /// suppress anything is only known once the workspace rules ran.
     pub graph_allows: Vec<(String, u32, u32)>,
@@ -389,8 +389,7 @@ fn check_d1(file: &str, code: &[&Tok<'_>], i: usize, tok: &Tok<'_>, out: &mut Ve
     // fs :: anything — file-system access. Flagged at both use-sites
     // (`fs::read_to_string`) and imports (`use std::fs::File`): the
     // file system is ambient mutable state, so any read that can feed
-    // back into results needs an annotated soundness argument (e.g.
-    // the cell cache's validated, bit-identical replay).
+    // back into results needs an annotated soundness argument.
     if tok.is_ident("fs")
         && code.get(i + 1).is_some_and(|t| t.is_punct(b':'))
         && code.get(i + 2).is_some_and(|t| t.is_punct(b':'))

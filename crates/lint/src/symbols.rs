@@ -1,36 +1,26 @@
 //! The symbol layer: items extracted from token streams.
 //!
-//! PR 5's rules were file-local token rules; the workspace rules
-//! (D5–D7) need *structure*: which structs have which fields, which
-//! functions call which, where the schema-tag constants live. This
-//! module parses just enough of that structure from the [`crate::lexer`]
-//! token stream — no `syn`, no type checking, and the same totality
-//! guarantee as the lexer:
+//! The file-local rules (D1–D4) work on tokens; the workspace rule D7
+//! needs *structure*: which functions call which, and where the panic
+//! sites are. This module parses just enough of that structure from
+//! the [`crate::lexer`] token stream — no `syn`, no type checking, and
+//! the same totality guarantee as the lexer:
 //!
 //! * **Never panics** on any byte sequence (enforced by a proptest
 //!   over arbitrary and adversarial inputs). All access is
 //!   bounds-checked; all loops are bounded by the token count.
 //! * Malformed input degrades to *fewer* symbols, never an error: a
-//!   truncated item is simply skipped. The workspace rules are
-//!   conservative in the other direction (missing root symbols are
-//!   themselves findings), so degradation cannot silently pass a gate.
+//!   truncated item is simply skipped.
 //!
 //! What is extracted:
 //!
-//! * `fn` items — name, the `impl`/`trait` type they sit in, every
-//!   identifier in the body (D5's reference check), heuristic callee
-//!   names (the call graph's edges), and panic sites (D7's subjects).
-//! * `struct`/`enum` items — field/variant lists with the identifiers
-//!   of their types (D5's embedding closure, D6's shape fingerprints)
-//!   and the item's `#[derive(...)]` list (D5's derived-`Debug` proof).
-//! * `impl` blocks — trait and self-type names (D5 flags hand-written
-//!   `Debug` impls inside the cache-key closure).
-//! * `const NAME: &str = "…"` items — the schema tags D6 binds
-//!   fingerprints to.
+//! * `fn` items — name, heuristic callee names (the call graph's
+//!   edges), and panic sites (D7's subjects).
+//! * `struct`/`enum` items — name and location only (the graph
+//!   statistics count them).
 //!
 //! Items under `#[cfg(test)]`/`#[test]` are skipped entirely: test
-//! code neither defines result shapes nor joins the event-loop call
-//! graph.
+//! code does not join the event-loop call graph.
 
 use crate::lexer::{tokenize, Tok, TokKind};
 use crate::rules::test_mask;
@@ -52,19 +42,6 @@ pub struct PanicSite {
     pub what: &'static str,
 }
 
-/// One struct field (or enum variant — the layer unifies them: a
-/// variant's "type idents" are its payload's type identifiers).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Field {
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: u32,
-    /// Identifiers appearing in the field's type (`Option<FailSlowConfig>`
-    /// yields `["Option", "FailSlowConfig"]`), used to resolve embedded
-    /// workspace types.
-    pub type_idents: Vec<String>,
-}
-
 /// A `struct` or `enum` definition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StructSym {
@@ -73,23 +50,6 @@ pub struct StructSym {
     pub file: String,
     /// 1-based line of the item name.
     pub line: u32,
-    /// Named fields (structs) or variants (enums). Empty for tuple and
-    /// unit structs.
-    pub fields: Vec<Field>,
-    /// Type idents of a tuple struct's payload (`struct SimTime(u64)`
-    /// yields `["u64"]`).
-    pub tuple_type_idents: Vec<String>,
-    /// True for `enum` items.
-    pub is_enum: bool,
-    /// The item's accumulated `#[derive(...)]` identifiers.
-    pub derives: Vec<String>,
-}
-
-impl StructSym {
-    /// True when the item derives the named trait.
-    pub fn derives(&self, name: &str) -> bool {
-        self.derives.iter().any(|d| d == name)
-    }
 }
 
 /// A `fn` item.
@@ -98,46 +58,11 @@ pub struct FnSym {
     pub name: String,
     pub file: String,
     pub line: u32,
-    /// The `impl` (or `trait`) self-type the fn is defined in, if any.
-    pub impl_type: Option<String>,
     /// Heuristic callee names: every `name(`, `.name(` and `X::name(`
     /// in the body, deduplicated and sorted.
     pub calls: Vec<String>,
-    /// Every identifier in the body, deduplicated and sorted (D5's
-    /// field-reference check).
-    pub body_idents: Vec<String>,
     /// Panic sites in the body.
     pub panic_sites: Vec<PanicSite>,
-}
-
-impl FnSym {
-    /// True when `ident` appears anywhere in the body.
-    pub fn references(&self, ident: &str) -> bool {
-        self.body_idents
-            .binary_search_by(|s| s.as_str().cmp(ident))
-            .is_ok()
-    }
-}
-
-/// An `impl` block header.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ImplSym {
-    /// `Some("Debug")` for `impl fmt::Debug for SimTime` (last path
-    /// segment), `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// Self type (last path segment before generics).
-    pub type_name: String,
-    pub file: String,
-    pub line: u32,
-}
-
-/// A `const NAME: &str = "value";` item.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConstStr {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
-    pub value: String,
 }
 
 /// Everything extracted from one file.
@@ -145,8 +70,6 @@ pub struct ConstStr {
 pub struct FileSymbols {
     pub structs: Vec<StructSym>,
     pub fns: Vec<FnSym>,
-    pub impls: Vec<ImplSym>,
-    pub consts: Vec<ConstStr>,
 }
 
 /// Extracts the symbols of one source file. Total on arbitrary bytes.
@@ -158,7 +81,7 @@ pub fn scan_file(file: &str, src: &[u8]) -> FileSymbols {
         .collect();
     let mask = test_mask(&code);
     let mut out = FileSymbols::default();
-    parse_items(file, &code, &mask, 0, code.len(), None, &mut out, 0);
+    parse_items(file, &code, &mask, 0, code.len(), &mut out, 0);
     out
 }
 
@@ -207,28 +130,14 @@ fn skip_generics(code: &[&Tok<'_>], i: usize, end: usize) -> usize {
     end
 }
 
-/// Collects identifiers in `code[range]` into `out` (no dedup).
-fn idents_in(code: &[&Tok<'_>], start: usize, end: usize, out: &mut Vec<String>) {
-    for j in start..end.min(code.len()) {
-        if let Some(t) = code.get(j) {
-            if t.kind == TokKind::Ident {
-                out.push(String::from_utf8_lossy(t.text).into_owned());
-            }
-        }
-    }
-}
-
 /// Parses the token range `[start, end)` as a sequence of items.
-/// `impl_type` is the enclosing `impl`/`trait` self-type, `depth`
-/// bounds recursion (nested modules/impls).
-#[allow(clippy::too_many_arguments)]
+/// `depth` bounds recursion (nested modules/impls).
 fn parse_items(
     file: &str,
     code: &[&Tok<'_>],
     mask: &[bool],
     start: usize,
     end: usize,
-    impl_type: Option<&str>,
     out: &mut FileSymbols,
     depth: u32,
 ) {
@@ -236,21 +145,15 @@ fn parse_items(
         return; // adversarial nesting: stop descending, stay total
     }
     let mut i = start;
-    let mut derives: Vec<String> = Vec::new();
     while i < end {
         if mask.get(i).copied().unwrap_or(false) {
             i += 1;
-            derives.clear();
             continue;
         }
         let Some(t) = code.get(i) else { break };
-        // Attributes: harvest derive lists, skip the rest.
+        // Attributes: skip.
         if t.is_punct(b'#') && code.get(i + 1).is_some_and(|t| t.is_punct(b'[')) {
-            let close = skip_group(code, i + 1, end, b'[', b']');
-            if code.get(i + 2).is_some_and(|t| t.is_ident("derive")) {
-                idents_in(code, i + 3, close.saturating_sub(1), &mut derives);
-            }
-            i = close;
+            i = skip_group(code, i + 1, end, b'[', b']');
             continue;
         }
         if t.kind != TokKind::Ident {
@@ -261,38 +164,22 @@ fn parse_items(
             } else {
                 i += 1;
             }
-            derives.clear();
             continue;
         }
         match t.text {
             b"struct" | b"enum" => {
-                i = parse_struct_or_enum(
-                    file,
-                    code,
-                    i,
-                    end,
-                    t.is_ident("enum"),
-                    std::mem::take(&mut derives),
-                    out,
-                );
+                i = parse_struct_or_enum(file, code, i, end, out);
             }
             b"fn" => {
-                i = parse_fn(file, code, i, end, impl_type, out);
-                derives.clear();
+                i = parse_fn(file, code, i, end, out);
             }
             b"impl" => {
                 i = parse_impl(file, code, mask, i, end, out, depth);
-                derives.clear();
             }
             b"trait" => {
                 // `trait Name { ...default bodies... }`: parse the body
                 // as items so default methods join the graph.
-                let name_at = skip_generics(code, i + 2, end);
-                let name = code
-                    .get(i + 1)
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| String::from_utf8_lossy(t.text).into_owned());
-                let mut j = name_at.max(i + 1);
+                let mut j = skip_generics(code, i + 2, end).max(i + 1);
                 while j < end
                     && !code
                         .get(j)
@@ -308,7 +195,6 @@ fn parse_items(
                         mask,
                         j + 1,
                         close.saturating_sub(1),
-                        name.as_deref(),
                         out,
                         depth + 1,
                     );
@@ -316,7 +202,6 @@ fn parse_items(
                 } else {
                     i = j + 1;
                 }
-                derives.clear();
             }
             b"mod" => {
                 // `mod name { ... }` inline module; `mod name;` skip.
@@ -336,7 +221,6 @@ fn parse_items(
                         mask,
                         j + 1,
                         close.saturating_sub(1),
-                        None,
                         out,
                         depth + 1,
                     );
@@ -344,11 +228,9 @@ fn parse_items(
                 } else {
                     i = j + 1;
                 }
-                derives.clear();
             }
             b"const" | b"static" => {
-                i = parse_const(file, code, i, end, out);
-                derives.clear();
+                i = skip_const(code, i, end);
             }
             b"macro_rules" => {
                 // `macro_rules! name { ... }`
@@ -357,7 +239,6 @@ fn parse_items(
                     j += 1;
                 }
                 i = skip_group(code, j, end, b'{', b'}');
-                derives.clear();
             }
             _ => {
                 i += 1;
@@ -373,15 +254,16 @@ fn parse_struct_or_enum(
     code: &[&Tok<'_>],
     kw: usize,
     end: usize,
-    is_enum: bool,
-    derives: Vec<String>,
     out: &mut FileSymbols,
 ) -> usize {
     let Some(name_tok) = code.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
         return kw + 1;
     };
-    let name = String::from_utf8_lossy(name_tok.text).into_owned();
-    let line = name_tok.line;
+    out.structs.push(StructSym {
+        name: String::from_utf8_lossy(name_tok.text).into_owned(),
+        file: file.to_string(),
+        line: name_tok.line,
+    });
     let mut i = skip_generics(code, kw + 2, end);
     // `where` clauses before the body.
     while i < end
@@ -391,177 +273,23 @@ fn parse_struct_or_enum(
     {
         i += 1;
     }
-    let mut sym = StructSym {
-        name,
-        file: file.to_string(),
-        line,
-        fields: Vec::new(),
-        tuple_type_idents: Vec::new(),
-        is_enum,
-        derives,
-    };
     match code.get(i).and_then(|t| t.punct()) {
-        Some(b'{') => {
-            let close = skip_group(code, i, end, b'{', b'}');
-            if is_enum {
-                parse_variants(code, i + 1, close.saturating_sub(1), &mut sym.fields);
-            } else {
-                parse_fields(code, i + 1, close.saturating_sub(1), &mut sym.fields);
-            }
-            out.structs.push(sym);
-            close
-        }
+        Some(b'{') => skip_group(code, i, end, b'{', b'}'),
         Some(b'(') => {
-            let close = skip_group(code, i, end, b'(', b')');
-            idents_in(
-                code,
-                i + 1,
-                close.saturating_sub(1),
-                &mut sym.tuple_type_idents,
-            );
-            out.structs.push(sym);
-            // trailing `;` (or where clause) — consume to the `;`.
-            let mut j = close;
+            // Tuple struct: trailing `;` (or where clause) — consume
+            // to the `;`.
+            let mut j = skip_group(code, i, end, b'(', b')');
             while j < end && !code.get(j).is_some_and(|t| t.is_punct(b';')) {
                 j += 1;
             }
             (j + 1).min(end)
         }
-        _ => {
-            out.structs.push(sym);
-            i + 1
-        }
+        _ => i + 1,
     }
 }
 
-/// Parses `name: Type,` fields inside a struct body range.
-fn parse_fields(code: &[&Tok<'_>], start: usize, end: usize, out: &mut Vec<Field>) {
-    let mut i = start;
-    while i < end {
-        // Skip attributes and visibility.
-        while i < end {
-            let Some(t) = code.get(i) else { return };
-            if t.is_punct(b'#') && code.get(i + 1).is_some_and(|t| t.is_punct(b'[')) {
-                i = skip_group(code, i + 1, end, b'[', b']');
-            } else if t.is_ident("pub") {
-                i += 1;
-                if code.get(i).is_some_and(|t| t.is_punct(b'(')) {
-                    i = skip_group(code, i, end, b'(', b')');
-                }
-            } else {
-                break;
-            }
-        }
-        let Some(name_tok) = code.get(i).filter(|t| t.kind == TokKind::Ident) else {
-            return;
-        };
-        if i >= end || !code.get(i + 1).is_some_and(|t| t.is_punct(b':')) {
-            return; // not a field — malformed body, stop
-        }
-        let mut field = Field {
-            name: String::from_utf8_lossy(name_tok.text).into_owned(),
-            line: name_tok.line,
-            type_idents: Vec::new(),
-        };
-        // Type runs to the next `,` at bracket depth 0.
-        let mut j = i + 2;
-        let (mut paren, mut bracket, mut brace, mut angle) = (0i64, 0i64, 0i64, 0i64);
-        while j < end {
-            let Some(t) = code.get(j) else { break };
-            match t.punct() {
-                Some(b'(') => paren += 1,
-                Some(b')') => paren -= 1,
-                Some(b'[') => bracket += 1,
-                Some(b']') => bracket -= 1,
-                Some(b'{') => brace += 1,
-                Some(b'}') => brace -= 1,
-                Some(b'<') => angle += 1,
-                Some(b'>') => angle = (angle - 1).max(0),
-                Some(b',') if paren <= 0 && bracket <= 0 && brace <= 0 && angle <= 0 => break,
-                _ => {
-                    if t.kind == TokKind::Ident {
-                        field
-                            .type_idents
-                            .push(String::from_utf8_lossy(t.text).into_owned());
-                    }
-                }
-            }
-            j += 1;
-        }
-        out.push(field);
-        i = j + 1;
-    }
-}
-
-/// Parses enum variants: `Name`, `Name(Types)`, `Name { f: T }`,
-/// `Name = expr`. The variant's payload type idents become its
-/// `type_idents`.
-fn parse_variants(code: &[&Tok<'_>], start: usize, end: usize, out: &mut Vec<Field>) {
-    let mut i = start;
-    while i < end {
-        // Skip attributes.
-        while i < end
-            && code.get(i).is_some_and(|t| t.is_punct(b'#'))
-            && code.get(i + 1).is_some_and(|t| t.is_punct(b'['))
-        {
-            i = skip_group(code, i + 1, end, b'[', b']');
-        }
-        let Some(name_tok) = code.get(i).filter(|t| t.kind == TokKind::Ident) else {
-            return;
-        };
-        let mut variant = Field {
-            name: String::from_utf8_lossy(name_tok.text).into_owned(),
-            line: name_tok.line,
-            type_idents: Vec::new(),
-        };
-        let mut j = i + 1;
-        match code.get(j).and_then(|t| t.punct()) {
-            Some(b'(') => {
-                let close = skip_group(code, j, end, b'(', b')');
-                idents_in(
-                    code,
-                    j + 1,
-                    close.saturating_sub(1),
-                    &mut variant.type_idents,
-                );
-                j = close;
-            }
-            Some(b'{') => {
-                let close = skip_group(code, j, end, b'{', b'}');
-                // Named payload: reuse field parsing, flatten.
-                let mut named = Vec::new();
-                parse_fields(code, j + 1, close.saturating_sub(1), &mut named);
-                for f in named {
-                    variant.type_idents.push(f.name.clone());
-                    variant.type_idents.extend(f.type_idents);
-                }
-                j = close;
-            }
-            _ => {}
-        }
-        out.push(variant);
-        // Consume to the separating `,` (skipping `= expr`).
-        let (mut paren, mut bracket, mut brace) = (0i64, 0i64, 0i64);
-        while j < end {
-            let Some(t) = code.get(j) else { break };
-            match t.punct() {
-                Some(b'(') => paren += 1,
-                Some(b')') => paren -= 1,
-                Some(b'[') => bracket += 1,
-                Some(b']') => bracket -= 1,
-                Some(b'{') => brace += 1,
-                Some(b'}') => brace -= 1,
-                Some(b',') if paren <= 0 && bracket <= 0 && brace <= 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        i = j + 1;
-    }
-}
-
-/// Parses an `impl` block at the keyword index; records the header and
-/// recurses into the body for its fns.
+/// Parses an `impl` block at the keyword index, recursing into the
+/// body for its fns.
 fn parse_impl(
     file: &str,
     code: &[&Tok<'_>],
@@ -571,68 +299,31 @@ fn parse_impl(
     out: &mut FileSymbols,
     depth: u32,
 ) -> usize {
-    let line = code.get(kw).map_or(0, |t| t.line);
+    // Step over the header's paths (skipping generics) up to `{` or
+    // `where`, then fast-forward over any `where` clause to the body.
     let mut i = skip_generics(code, kw + 1, end);
-    // Read path segments up to `for`, `{` or `where`; remember the
-    // last ident of each path read.
-    let mut first_path_last: Option<String> = None;
-    let mut second_path_last: Option<String> = None;
-    let mut saw_for = false;
     while i < end {
         let Some(t) = code.get(i) else { break };
         if t.is_punct(b'{') || t.is_ident("where") {
             break;
         }
-        if t.is_ident("for") {
-            saw_for = true;
-            i += 1;
-            continue;
-        }
-        if t.kind == TokKind::Ident {
-            let name = String::from_utf8_lossy(t.text).into_owned();
-            if saw_for {
-                second_path_last = Some(name);
-            } else {
-                first_path_last = Some(name);
-            }
-        }
-        if t.is_punct(b'<') {
-            i = skip_generics(code, i, end);
-            continue;
-        }
-        i += 1;
+        i = if t.is_punct(b'<') {
+            skip_generics(code, i, end)
+        } else {
+            i + 1
+        };
     }
-    // Fast-forward over any `where` clause to the body.
     while i < end && !code.get(i).is_some_and(|t| t.is_punct(b'{')) {
         i += 1;
     }
-    let (trait_name, type_name) = if saw_for {
-        (first_path_last, second_path_last.unwrap_or_default())
-    } else {
-        (None, first_path_last.unwrap_or_default())
-    };
-    if !type_name.is_empty() {
-        out.impls.push(ImplSym {
-            trait_name,
-            type_name: type_name.clone(),
-            file: file.to_string(),
-            line,
-        });
-    }
     if code.get(i).is_some_and(|t| t.is_punct(b'{')) {
         let close = skip_group(code, i, end, b'{', b'}');
-        let ty = if type_name.is_empty() {
-            None
-        } else {
-            Some(type_name.as_str())
-        };
         parse_items(
             file,
             code,
             mask,
             i + 1,
             close.saturating_sub(1),
-            ty,
             out,
             depth + 1,
         );
@@ -642,27 +333,13 @@ fn parse_impl(
     }
 }
 
-/// Parses `const`/`static` at the keyword index; captures string
-/// constants (`const NAME: &str = "…"`) and steps over the rest.
-fn parse_const(
-    file: &str,
-    code: &[&Tok<'_>],
-    kw: usize,
-    end: usize,
-    out: &mut FileSymbols,
-) -> usize {
-    let name = code
-        .get(kw + 1)
-        .filter(|t| t.kind == TokKind::Ident && !t.is_ident("mut"))
-        .or_else(|| code.get(kw + 2).filter(|t| t.kind == TokKind::Ident));
-    // Find `=` then `;` at depth 0; a `{` before `=` means this was
-    // something else (e.g. `impl const`).
+/// Steps over a `const`/`static` item at the keyword index: to the
+/// `;` at depth 0, skipping bracketed groups in the value.
+fn skip_const(code: &[&Tok<'_>], kw: usize, end: usize) -> usize {
     let mut j = kw + 1;
-    let mut eq_at = None;
     while j < end {
         let Some(t) = code.get(j) else { break };
         match t.punct() {
-            Some(b'=') if eq_at.is_none() => eq_at = Some(j),
             Some(b';') => break,
             Some(b'{') => {
                 j = skip_group(code, j, end, b'{', b'}');
@@ -680,35 +357,11 @@ fn parse_const(
         }
         j += 1;
     }
-    if let (Some(name_tok), Some(eq)) = (name, eq_at) {
-        if let Some(val) = code.get(eq + 1).filter(|t| t.kind == TokKind::Str) {
-            let text = String::from_utf8_lossy(val.text);
-            // Strip the literal's sigils/quotes: the payload is what
-            // sits between the first and last `"`.
-            let inner = match (text.find('"'), text.rfind('"')) {
-                (Some(a), Some(b)) if b > a => &text[a + 1..b],
-                _ => "",
-            };
-            out.consts.push(ConstStr {
-                name: String::from_utf8_lossy(name_tok.text).into_owned(),
-                file: file.to_string(),
-                line: name_tok.line,
-                value: inner.to_string(),
-            });
-        }
-    }
     (j + 1).min(end)
 }
 
 /// Parses a `fn` item at the keyword index; extracts body facts.
-fn parse_fn(
-    file: &str,
-    code: &[&Tok<'_>],
-    kw: usize,
-    end: usize,
-    impl_type: Option<&str>,
-    out: &mut FileSymbols,
-) -> usize {
+fn parse_fn(file: &str, code: &[&Tok<'_>], kw: usize, end: usize, out: &mut FileSymbols) -> usize {
     let Some(name_tok) = code.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
         return kw + 1;
     };
@@ -740,36 +393,26 @@ fn parse_fn(
             name,
             file: file.to_string(),
             line,
-            impl_type: impl_type.map(str::to_string),
             calls: Vec::new(),
-            body_idents: Vec::new(),
             panic_sites: Vec::new(),
         });
         return i + 1;
     }
     let close = skip_group(code, i, end, b'{', b'}');
-    let (calls, body_idents, panic_sites) = scan_body(code, i + 1, close.saturating_sub(1));
+    let (calls, panic_sites) = scan_body(code, i + 1, close.saturating_sub(1));
     out.fns.push(FnSym {
         name,
         file: file.to_string(),
         line,
-        impl_type: impl_type.map(str::to_string),
         calls,
-        body_idents,
         panic_sites,
     });
     close
 }
 
-/// Extracts callee names, identifiers and panic sites from a body
-/// token range.
-pub fn scan_body(
-    code: &[&Tok<'_>],
-    start: usize,
-    end: usize,
-) -> (Vec<String>, Vec<String>, Vec<PanicSite>) {
+/// Extracts callee names and panic sites from a body token range.
+pub fn scan_body(code: &[&Tok<'_>], start: usize, end: usize) -> (Vec<String>, Vec<PanicSite>) {
     let mut calls: Vec<String> = Vec::new();
-    let mut idents: Vec<String> = Vec::new();
     let mut sites: Vec<PanicSite> = Vec::new();
     let end = end.min(code.len());
     for j in start..end {
@@ -777,7 +420,6 @@ pub fn scan_body(
         if t.kind != TokKind::Ident {
             continue;
         }
-        idents.push(String::from_utf8_lossy(t.text).into_owned());
         let next = code.get(j + 1).filter(|_| j + 1 < end);
         // Panic-family macros.
         if next.is_some_and(|n| n.is_punct(b'!')) {
@@ -812,9 +454,7 @@ pub fn scan_body(
     }
     calls.sort();
     calls.dedup();
-    idents.sort();
-    idents.dedup();
-    (calls, idents, sites)
+    (calls, sites)
 }
 
 #[cfg(test)]
@@ -822,56 +462,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn structs_fields_and_derives() {
+    fn structs_and_enums_are_counted() {
         let src = br#"
             /// Doc.
             #[derive(Clone, Copy, Debug)]
             pub struct Config {
                 pub disks: u32,
                 pub fail_slow: Option<FailSlowConfig>,
-                regions: Vec<(u64, Region)>,
             }
             pub struct Unit;
-            #[derive(Debug)]
             pub struct Wrap(u64, SimTime);
+            pub enum Policy { AlwaysRaid5, MttdlTarget { target_hours: f64 } }
+            fn after() {}
         "#;
         let s = scan_file("t.rs", src);
-        assert_eq!(s.structs.len(), 3);
-        let cfg = &s.structs[0];
-        assert_eq!(cfg.name, "Config");
-        assert!(cfg.derives("Debug") && cfg.derives("Clone"));
-        let names: Vec<&str> = cfg.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["disks", "fail_slow", "regions"]);
-        assert!(cfg.fields[1]
-            .type_idents
-            .contains(&"FailSlowConfig".to_string()));
-        assert!(cfg.fields[2].type_idents.contains(&"Region".to_string()));
-        assert_eq!(s.structs[2].tuple_type_idents, ["u64", "SimTime"]);
+        let names: Vec<&str> = s.structs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["Config", "Unit", "Wrap", "Policy"]);
+        assert_eq!(s.structs[0].line, 4);
+        // Item bodies are stepped over, not re-parsed as items.
+        let fns: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(fns, ["after"]);
     }
 
     #[test]
-    fn enums_record_variants_and_payloads() {
-        let src = br#"
-            #[derive(Debug)]
-            pub enum Policy {
-                AlwaysRaid5,
-                MttdlTarget { target_hours: f64 },
-                Pair(SimTime, u32),
-            }
-        "#;
-        let s = scan_file("t.rs", src);
-        let e = &s.structs[0];
-        assert!(e.is_enum);
-        let names: Vec<&str> = e.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["AlwaysRaid5", "MttdlTarget", "Pair"]);
-        assert!(e.fields[1]
-            .type_idents
-            .contains(&"target_hours".to_string()));
-        assert!(e.fields[2].type_idents.contains(&"SimTime".to_string()));
-    }
-
-    #[test]
-    fn fns_impls_calls_and_panic_sites() {
+    fn fns_calls_and_panic_sites() {
         let src = br#"
             impl fmt::Debug for SimTime {
                 fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -885,44 +499,19 @@ mod tests {
                     helper(x);
                 }
             }
+            const NAME: &str = "fn fake() {}";
             fn helper(x: u64) { panic!("boom {}", x) }
         "#;
         let s = scan_file("t.rs", src);
-        assert_eq!(s.impls.len(), 2);
-        assert_eq!(s.impls[0].trait_name.as_deref(), Some("Debug"));
-        assert_eq!(s.impls[0].type_name, "SimTime");
-        assert_eq!(s.impls[1].trait_name, None);
-        let on_event = s
-            .fns
-            .iter()
-            .find(|f| f.name == "on_event")
-            .expect("on_event");
-        assert_eq!(on_event.impl_type.as_deref(), Some("Controller"));
+        let names: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["fmt", "on_event", "helper"]);
+        let on_event = &s.fns[1];
         assert!(on_event.calls.contains(&"dispatch".to_string()));
         assert!(on_event.calls.contains(&"helper".to_string()));
         assert!(on_event.calls.contains(&"pop".to_string()));
         assert_eq!(on_event.panic_sites.len(), 1);
         assert_eq!(on_event.panic_sites[0].what, ".unwrap()");
-        let helper = s.fns.iter().find(|f| f.name == "helper").expect("helper");
-        assert_eq!(helper.panic_sites[0].what, "panic!");
-        assert!(helper.references("x"));
-        assert!(!helper.references("queue"));
-    }
-
-    #[test]
-    fn const_strings_are_captured() {
-        let src = br#"
-            pub const RESULT_SCHEMA: &str = "afraid-cell-v2";
-            const OTHER: u64 = 7;
-            static NAME: &str = "s";
-        "#;
-        let s = scan_file("t.rs", src);
-        let tags: Vec<(&str, &str)> = s
-            .consts
-            .iter()
-            .map(|c| (c.name.as_str(), c.value.as_str()))
-            .collect();
-        assert_eq!(tags, [("RESULT_SCHEMA", "afraid-cell-v2"), ("NAME", "s")]);
+        assert_eq!(s.fns[2].panic_sites[0].what, "panic!");
     }
 
     #[test]

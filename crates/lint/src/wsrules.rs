@@ -1,25 +1,8 @@
-//! Workspace rules D5–D7: checks over the symbol graph.
+//! Workspace rule D7: a check over the symbol graph.
 //!
-//! Unlike D1–D4 (file-local token rules), these need the whole
-//! workspace in view:
+//! Unlike D1–D4 (file-local token rules), it needs the whole workspace
+//! in view:
 //!
-//! * **d5 — cache-key completeness.** The cell cache's correctness
-//!   rests on `ArrayConfig::cache_encoding()` being *injective*: two
-//!   different configs must never share a cache key, or a warm run
-//!   silently replays the wrong cell. The rule checks (a) every field
-//!   of the root config is referenced in the key function, and (b)
-//!   every workspace struct transitively embedded in the config
-//!   renders through *derived* `Debug` — a hand-written `Debug` impl
-//!   can (and in this repo's history, did) round away distinguishing
-//!   bits. A reviewed-injective manual impl carries
-//!   `lint:allow(d5) <why it is injective>`.
-//! * **d6 — schema-tag drift.** Serialized result shapes
-//!   (`RunMetrics`/`RunResult` behind `RESULT_SCHEMA`, the chaos
-//!   verdict behind `CHAOS_SCHEMA`) are fingerprinted structurally;
-//!   the fingerprint is committed in `lint-baseline.toml` next to the
-//!   tag string. Changing a shape without bumping its tag fails the
-//!   gate — the cache would otherwise deserialize stale bytes into
-//!   the new shape.
 //! * **d7 — call-graph panic reachability.** D3's panic budget covers
 //!   a hand-listed hot-path set; D7 extends it to *everything
 //!   reachable* from the event-loop entry points (`run_trace`,
@@ -27,221 +10,11 @@
 //!   design: a flagged-but-unreachable site costs one annotation, a
 //!   missed reachable site costs a wedged experiment matrix.
 
-use crate::graph::{shape_fingerprint, Graph};
+use crate::graph::Graph;
 use crate::rules::Finding;
-
-/// D5's root: the struct and the key function its fields must all
-/// reach.
-pub const D5_ROOT: (&str, &str) = ("ArrayConfig", "cache_encoding");
-
-/// D6's bindings: schema-tag constant → the result shapes it covers.
-pub const D6_BINDINGS: &[(&str, &[&str])] = &[
-    ("RESULT_SCHEMA", &["RunMetrics", "RunResult"]),
-    ("CHAOS_SCHEMA", &["CutVerdict"]),
-];
 
 /// D7's entry points: the event loop and the chaos cut driver.
 pub const D7_ENTRIES: &[&str] = &["run_trace", "run_to_cut"];
-
-/// D5: every field of `root` referenced in `key_fn`, every embedded
-/// struct on derived `Debug`. Public with arbitrary names so the
-/// tier-1 canary can run it against fixture structs.
-pub fn check_cache_key(g: &Graph, root: &str, key_fn: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(root_sym) = g.struct_named(root) else {
-        out.push(Finding::new(
-            "workspace",
-            0,
-            "d5",
-            format!("cache-key root struct `{root}` not found in the workspace — update wsrules::D5_ROOT"),
-        ));
-        return out;
-    };
-    let key = g
-        .fns_named(key_fn)
-        .iter()
-        .filter_map(|&id| g.fns.get(id))
-        .find(|f| f.impl_type.as_deref() == Some(root));
-    let Some(key) = key else {
-        out.push(Finding::new(
-            &root_sym.file,
-            root_sym.line,
-            "d5",
-            format!("`{root}` has no `{key_fn}()` method — the cell cache cannot salt this config"),
-        ));
-        return out;
-    };
-    for field in &root_sym.fields {
-        if !key.references(&field.name) {
-            out.push(Finding::new(
-                &root_sym.file,
-                field.line,
-                "d5",
-                format!(
-                    "field `{}` of `{root}` is never referenced in `{key_fn}()` — an un-salted field means two different configs share a cache key and warm runs replay the wrong cell",
-                    field.name
-                ),
-            ));
-        }
-    }
-    for s in g.embedded_closure(root) {
-        if s.name == root {
-            continue; // the root renders field-by-field, not via Debug
-        }
-        if let Some((file, line)) = g.manual_impls.get(&("Debug".to_string(), s.name.clone())) {
-            out.push(Finding::new(
-                file,
-                *line,
-                "d5",
-                format!(
-                    "manual `Debug` impl for `{}`, which is embedded in `{root}`'s cache key — `{key_fn}()` relies on derived Debug rendering every bit; derive it, or annotate the impl with `lint:allow(d5) <why it is injective>`",
-                    s.name
-                ),
-            ));
-        } else if !s.derives("Debug") {
-            out.push(Finding::new(
-                &s.file,
-                s.line,
-                "d5",
-                format!(
-                    "`{}` is embedded in `{root}`'s cache key but does not derive `Debug` — its fields never reach `{key_fn}()`",
-                    s.name
-                ),
-            ));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// One measured schema binding: the tag string the workspace currently
-/// declares and the structural fingerprint of the shapes behind it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SchemaProbe {
-    /// The tag constant's name (`RESULT_SCHEMA`).
-    pub const_name: String,
-    /// Where the constant is defined.
-    pub file: String,
-    pub line: u32,
-    /// The tag string value (`afraid-cell-v2`).
-    pub tag: String,
-    /// Fingerprint over the bound shapes' transitive closure.
-    pub fingerprint: u64,
-}
-
-impl SchemaProbe {
-    /// The `tag@fingerprint` form stored in the baseline.
-    pub fn entry(&self) -> String {
-        format!("{}@{:016x}", self.tag, self.fingerprint)
-    }
-}
-
-/// Measures every D6 binding. Missing constants or missing root
-/// structs are hard findings (the gate must not pass vacuously when a
-/// shape is renamed away from under its binding).
-pub fn probe_schemas(g: &Graph, bindings: &[(&str, &[&str])]) -> (Vec<SchemaProbe>, Vec<Finding>) {
-    let mut probes = Vec::new();
-    let mut findings = Vec::new();
-    for (const_name, roots) in bindings {
-        let Some(c) = g.const_named(const_name) else {
-            findings.push(Finding::new(
-                "workspace",
-                0,
-                "d6",
-                format!("schema tag constant `{const_name}` not found — update wsrules::D6_BINDINGS if it moved"),
-            ));
-            continue;
-        };
-        for root in *roots {
-            if g.struct_named(root).is_none() {
-                findings.push(Finding::new(
-                    &c.file,
-                    c.line,
-                    "d6",
-                    format!("`{root}`, bound to `{const_name}`, not found in the workspace — update wsrules::D6_BINDINGS if it was renamed"),
-                ));
-            }
-        }
-        probes.push(SchemaProbe {
-            const_name: (*const_name).to_string(),
-            file: c.file.clone(),
-            line: c.line,
-            tag: c.value.clone(),
-            fingerprint: shape_fingerprint(g, roots),
-        });
-    }
-    (probes, findings)
-}
-
-/// Compares measured schema probes against the committed
-/// `[schema]` baseline section (`"CONST" = "tag@fp"`).
-pub fn check_schema_drift(
-    baseline_file: &str,
-    probes: &[SchemaProbe],
-    committed: &std::collections::BTreeMap<String, String>,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for p in probes {
-        let Some(entry) = committed.get(&p.const_name) else {
-            out.push(Finding::new(
-                baseline_file,
-                0,
-                "meta",
-                format!(
-                    "baseline has no [schema] entry for `{}` — regenerate with --write-baseline",
-                    p.const_name
-                ),
-            ));
-            continue;
-        };
-        let Some((btag, bfp)) = entry.split_once('@') else {
-            out.push(Finding::new(
-                baseline_file,
-                0,
-                "meta",
-                format!(
-                    "unparseable [schema] entry for `{}`: {entry:?} (expected \"tag@fingerprint\")",
-                    p.const_name
-                ),
-            ));
-            continue;
-        };
-        let fp = format!("{:016x}", p.fingerprint);
-        if btag == p.tag && bfp != fp {
-            out.push(Finding::new(
-                &p.file,
-                p.line,
-                "d6",
-                format!(
-                    "the result shape behind `{}` changed (fingerprint {bfp} -> {fp}) but the schema tag is still {:?} — cached cells from the old shape would replay into the new one; bump the tag and regenerate the baseline",
-                    p.const_name, p.tag
-                ),
-            ));
-        } else if btag != p.tag {
-            out.push(Finding::new(
-                baseline_file,
-                0,
-                "meta",
-                format!(
-                    "stale baseline: schema tag for `{}` is now {:?} (baseline says {btag:?}) — regenerate with --write-baseline",
-                    p.const_name, p.tag
-                ),
-            ));
-        }
-    }
-    for name in committed.keys() {
-        if !probes.iter().any(|p| &p.const_name == name) {
-            out.push(Finding::new(
-                baseline_file,
-                0,
-                "meta",
-                format!("stale baseline: [schema] entry `{name}` no longer bound — regenerate with --write-baseline"),
-            ));
-        }
-    }
-    out.sort();
-    out
-}
 
 /// D7: panic sites in fns reachable from `entries`, restricted to
 /// files `covered` says yes to (deterministic, non-bench, and not
@@ -284,100 +57,6 @@ mod tests {
     fn graph_of(srcs: &[(&str, &[u8])]) -> Graph {
         let files: Vec<_> = srcs.iter().map(|(f, s)| scan_file(f, s)).collect();
         Graph::build(&files)
-    }
-
-    #[test]
-    fn d5_flags_unsalted_field_exactly_once() {
-        let g = graph_of(&[(
-            "cfg.rs",
-            br#"
-            pub struct ArrayConfig { pub disks: u32, pub idle_delay: u64, pub forgotten: bool }
-            impl ArrayConfig {
-                pub fn cache_encoding(&self) -> String {
-                    let ArrayConfig { disks, idle_delay, .. } = self;
-                    format!("{disks:?};{idle_delay:?}")
-                }
-            }
-            "#,
-        )]);
-        let f = check_cache_key(&g, "ArrayConfig", "cache_encoding");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("forgotten"));
-        assert_eq!(f[0].rule, "d5");
-    }
-
-    #[test]
-    fn d5_flags_manual_debug_in_closure() {
-        let g = graph_of(&[(
-            "cfg.rs",
-            br#"
-            pub struct ArrayConfig { pub t: SimTime }
-            impl ArrayConfig {
-                pub fn cache_encoding(&self) -> String { format!("{:?}", self.t) }
-            }
-            pub struct SimTime(u64);
-            impl fmt::Debug for SimTime {
-                fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result { write!(f, "{:.3}", self.0) }
-            }
-            "#,
-        )]);
-        let f = check_cache_key(&g, "ArrayConfig", "cache_encoding");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("manual `Debug`"));
-    }
-
-    #[test]
-    fn d5_clean_when_all_fields_salted_and_derived() {
-        let g = graph_of(&[(
-            "cfg.rs",
-            br#"
-            pub struct ArrayConfig { pub disks: u32, pub scrub: ScrubConfig }
-            #[derive(Debug)]
-            pub struct ScrubConfig { pub batch: u32 }
-            impl ArrayConfig {
-                pub fn cache_encoding(&self) -> String {
-                    let ArrayConfig { disks, scrub } = self;
-                    format!("{disks:?};{scrub:?}")
-                }
-            }
-            "#,
-        )]);
-        assert!(check_cache_key(&g, "ArrayConfig", "cache_encoding").is_empty());
-    }
-
-    #[test]
-    fn d6_drift_without_tag_bump_is_flagged() {
-        let old = graph_of(&[(
-            "m.rs",
-            br#"pub const TAG: &str = "v2"; pub struct R { a: u32 }"#,
-        )]);
-        let new = graph_of(&[(
-            "m.rs",
-            br#"pub const TAG: &str = "v2"; pub struct R { a: u32, b: u8 }"#,
-        )]);
-        let bindings: &[(&str, &[&str])] = &[("TAG", &["R"])];
-        let (old_probes, e1) = probe_schemas(&old, bindings);
-        let (new_probes, e2) = probe_schemas(&new, bindings);
-        assert!(e1.is_empty() && e2.is_empty());
-        let committed = [("TAG".to_string(), old_probes[0].entry())]
-            .into_iter()
-            .collect();
-        // Same shape: clean.
-        assert!(check_schema_drift("bl.toml", &old_probes, &committed).is_empty());
-        // Drifted shape, same tag: d6.
-        let f = check_schema_drift("bl.toml", &new_probes, &committed);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "d6");
-        // Drifted shape with a tag bump: stale-baseline meta, not d6.
-        let bumped = graph_of(&[(
-            "m.rs",
-            br#"pub const TAG: &str = "v3"; pub struct R { a: u32, b: u8 }"#,
-        )]);
-        let (bumped_probes, _) = probe_schemas(&bumped, bindings);
-        let f = check_schema_drift("bl.toml", &bumped_probes, &committed);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "meta");
-        assert!(f[0].message.contains("--write-baseline"));
     }
 
     #[test]

@@ -287,13 +287,11 @@ impl Sum for SimDuration {
     }
 }
 
-// lint:allow(d5) injective: the exact nanosecond count is always printed alongside the rounded human-scale form
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The human-scale `Display` form rounds to three decimals,
         // which merges values closer than its precision. Debug output
-        // feeds `ArrayConfig::cache_encoding()`, so it must be
-        // injective: append the raw count.
+        // must tell any two values apart: append the raw count.
         write!(f, "SimTime({self} = {}ns)", self.0)
     }
 }
@@ -304,11 +302,10 @@ impl fmt::Display for SimTime {
     }
 }
 
-// lint:allow(d5) injective: the exact nanosecond count is always printed alongside the rounded human-scale form
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Same injectivity requirement as `SimTime`'s Debug: the
-        // rounded Display form alone would collide in the cache key.
+        // Same as `SimTime`'s Debug: the rounded Display form alone
+        // would merge distinct values.
         write!(f, "SimDuration({self} = {}ns)", self.0)
     }
 }

@@ -1,12 +1,12 @@
-//! Property test: the heap and calendar scheduler backends are
-//! observationally identical on arbitrary interleaved
+//! Property test: the event queue is observationally identical to a
+//! naive reference model on arbitrary interleaved
 //! schedule/cancel/pop/peek programs — including same-instant ties,
-//! batched bursts, and cancel-heavy churn. This is the contract that
-//! lets `SchedulerKind` be a pure performance switch: the delivered
-//! event sequence (and therefore every simulation result built on it)
-//! cannot depend on the backend.
+//! batched bursts, and cancel-heavy churn. The reference is a flat
+//! list popped by minimum `(time, seq)` with linear-remove cancel, so
+//! it states the `(time, seq)` total-order contract every simulation
+//! result rests on with no data-structure cleverness to get wrong.
 
-use afraid_sim::queue::{EventId, EventQueue, SchedulerKind};
+use afraid_sim::queue::{EventId, EventQueue};
 use afraid_sim::time::SimTime;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -21,6 +21,43 @@ enum Op {
     Cancel(usize),
     Pop,
     Peek,
+}
+
+/// The reference model: entries kept sorted by descending
+/// `(time, seq)` so the last one is the minimum; cancel is a linear
+/// remove.
+#[derive(Default)]
+struct Reference {
+    entries: Vec<(u64, u64, u64)>,
+    next_seq: u64,
+}
+
+impl Reference {
+    fn schedule(&mut self, time: u64, payload: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let at = self.entries.partition_point(|e| (e.0, e.1) > (time, seq));
+        self.entries.insert(at, (time, seq, payload));
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        let found = self.entries.iter().position(|e| e.1 == seq);
+        found.map(|i| self.entries.remove(i)).is_some()
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let (time, _, payload) = self.entries.pop()?;
+        Some((SimTime::from_nanos(time), payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.entries.last().map(|e| SimTime::from_nanos(e.0))
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 fn programs() -> impl Strategy<Value = Vec<Op>> {
@@ -40,73 +77,77 @@ fn programs() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Runs `program` against both backends in lockstep, comparing every
-/// observable: pop results, peek times, live counts, cancel outcomes.
+/// Runs `program` against the queue and the reference in lockstep,
+/// comparing every observable: pop results, peek times, live counts,
+/// cancel outcomes.
 fn run_lockstep(program: &[Op]) -> Result<(), TestCaseError> {
-    let mut heap: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Heap);
-    let mut cal: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Calendar);
-    let mut ids: Vec<(EventId, EventId)> = Vec::new();
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut model = Reference::default();
+    let mut ids: Vec<(EventId, u64)> = Vec::new();
     let mut now = 0u64;
     let mut payload = 0u64;
     for (step, op) in program.iter().enumerate() {
         match op {
             Op::Schedule(dt) => {
-                let t = SimTime::from_nanos(now + dt);
-                let ih = heap.schedule(t, payload);
-                let ic = cal.schedule(t, payload);
+                let id = q.schedule(SimTime::from_nanos(now + dt), payload);
+                ids.push((id, model.schedule(now + dt, payload)));
                 payload += 1;
-                ids.push((ih, ic));
             }
             Op::Batch(dts) => {
                 let base = payload;
-                heap.schedule_batch(
+                q.schedule_batch(
                     dts.iter()
                         .enumerate()
                         .map(|(i, dt)| (SimTime::from_nanos(now + dt), base + i as u64)),
                 );
-                cal.schedule_batch(
-                    dts.iter()
-                        .enumerate()
-                        .map(|(i, dt)| (SimTime::from_nanos(now + dt), base + i as u64)),
-                );
-                payload += dts.len() as u64;
+                for dt in dts {
+                    model.schedule(now + dt, payload);
+                    payload += 1;
+                }
             }
             Op::Cancel(index) => {
                 if !ids.is_empty() {
-                    let (ih, ic) = ids.swap_remove(index % ids.len());
+                    let (id, seq) = ids.swap_remove(index % ids.len());
                     prop_assert_eq!(
-                        heap.cancel(ih),
-                        cal.cancel(ic),
+                        q.cancel(id),
+                        model.cancel(seq),
                         "cancel outcome diverged at step {}",
                         step
                     );
                 }
             }
             Op::Pop => {
-                let h = heap.pop();
-                let c = cal.pop();
-                prop_assert_eq!(h, c, "pop diverged at step {}: {:?} vs {:?}", step, h, c);
-                if let Some((t, _)) = h {
+                let got = q.pop();
+                let want = model.pop();
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "pop diverged at step {}: {:?} vs {:?}",
+                    step,
+                    got,
+                    want
+                );
+                if let Some((t, _)) = got {
                     now = t.as_nanos();
                 }
             }
             Op::Peek => {
                 prop_assert_eq!(
-                    heap.peek_time(),
-                    cal.peek_time(),
+                    q.peek_time(),
+                    model.peek_time(),
                     "peek diverged at step {}",
                     step
                 );
             }
         }
-        prop_assert_eq!(heap.len(), cal.len(), "len diverged at step {}", step);
+        prop_assert_eq!(q.len(), model.len(), "len diverged at step {}", step);
     }
     // Final drain: every remaining event comes out identically.
     loop {
-        let h = heap.pop();
-        let c = cal.pop();
-        prop_assert_eq!(h, c, "final drain diverged: {:?} vs {:?}", h, c);
-        if h.is_none() {
+        let got = q.pop();
+        let want = model.pop();
+        prop_assert_eq!(got, want, "final drain diverged: {:?} vs {:?}", got, want);
+        if got.is_none() {
             return Ok(());
         }
     }
@@ -115,25 +156,26 @@ fn run_lockstep(program: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Arbitrary interleaved programs deliver identical sequences.
+    /// Arbitrary interleaved programs deliver the reference sequence.
     #[test]
-    fn backends_are_observationally_identical(program in programs()) {
+    fn queue_matches_reference_model(program in programs()) {
         run_lockstep(&program)?;
     }
 }
 
 /// 100k-scale churn, beyond what the random programs reach: a sustained
-/// schedule/cancel/pop mix that forces the calendar through many resize
-/// cycles and tombstone sweeps.
+/// schedule/cancel/pop mix with bimodal spacing, driving many tombstone
+/// sweeps through the heap.
 #[test]
-fn backends_agree_at_100k_churn() {
+fn queue_matches_reference_at_100k_churn() {
     use afraid_sim::rng::SplitMix64;
 
-    let mut heap: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Heap);
-    let mut cal: EventQueue<u64> = EventQueue::with_scheduler(SchedulerKind::Calendar);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut model = Reference::default();
     let mut rng = SplitMix64::new(0xAF1D_0900);
-    let mut ids: Vec<(EventId, EventId)> = Vec::new();
+    let mut ids: Vec<(EventId, u64)> = Vec::new();
     let mut now = 0u64;
+    let mut cancelled = 0u64;
     for i in 0..100_000u64 {
         match rng.next_u64() % 8 {
             0..=3 => {
@@ -144,35 +186,34 @@ fn backends_agree_at_100k_churn() {
                 } else {
                     (rng.next_u64() % 64) * 100
                 };
-                let t = SimTime::from_nanos(now + dt);
-                ids.push((heap.schedule(t, i), cal.schedule(t, i)));
+                let id = q.schedule(SimTime::from_nanos(now + dt), i);
+                ids.push((id, model.schedule(now + dt, i)));
             }
             4 | 5 => {
                 if !ids.is_empty() {
                     let k = (rng.next_u64() as usize) % ids.len();
-                    let (ih, ic) = ids.swap_remove(k);
-                    assert_eq!(heap.cancel(ih), cal.cancel(ic));
+                    let (id, seq) = ids.swap_remove(k);
+                    let live = model.cancel(seq);
+                    assert_eq!(q.cancel(id), live);
+                    cancelled += u64::from(live);
                 }
             }
             _ => {
-                let h = heap.pop();
-                assert_eq!(h, cal.pop(), "divergence at op {i}");
-                if let Some((t, _)) = h {
+                let got = q.pop();
+                assert_eq!(got, model.pop(), "divergence at op {i}");
+                if let Some((t, _)) = got {
                     now = t.as_nanos();
                 }
             }
         }
     }
     loop {
-        let h = heap.pop();
-        assert_eq!(h, cal.pop(), "divergence in final drain");
-        if h.is_none() {
+        let got = q.pop();
+        assert_eq!(got, model.pop(), "divergence in final drain");
+        if got.is_none() {
             break;
         }
     }
-    assert_eq!(
-        heap.scan_ops(),
-        cal.scan_ops(),
-        "tombstone accounting diverged"
-    );
+    // Once drained, every cancelled entry has been swept exactly once.
+    assert_eq!(q.scan_ops(), cancelled, "tombstone accounting diverged");
 }

@@ -15,7 +15,6 @@ use afraid::policy::ParityPolicy;
 use afraid::report::availability;
 use afraid_bench::harness;
 use afraid_chaos::Scenario;
-use afraid_exp::CellCache;
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 use std::process::ExitCode;
@@ -41,11 +40,7 @@ CHAOS OPTIONS:
     --seed <n>            workload seed (default: 42)
     --jobs <n>            worker threads; verdicts are bit-identical at
                           any job count (default: all cores)
-    --cache               replay memoised cut verdicts from
-                          target/cell-cache
-    --no-cache            disable the cell cache (default)
-    --json                emit per-scenario summaries as JSON; cache
-                          counters then go to stderr
+    --json                emit per-scenario summaries as JSON
     exits nonzero if any cut fails recovery verification
 
 SWEEP OPTIONS:
@@ -56,12 +51,7 @@ SWEEP OPTIONS:
     --full                run the full Figure 3 policy grid (RAID 5,
                           seven MTTDL_x targets, AFRAID, RAID 0)
                           instead of the three headline designs
-    --cache               replay memoised cells from target/cell-cache;
-                          results are bit-identical to a fresh run
-    --no-cache            disable the cell cache (default)
-    --json                emit the matrix as JSON; cache counters then
-                          go to stderr so stdout stays byte-comparable
-                          between cold and warm runs
+    --json                emit the matrix as JSON
 
 RUN OPTIONS:
     --workload <name>     workload preset (default: snake)
@@ -92,9 +82,6 @@ RUN OPTIONS:
     --verify-reads        checksum-verify every read and scrub pass;
                           detected corruption is repaired from parity or
                           declared (without this, corrupt reads are silent)
-    --scheduler <name>    event-scheduler backend: heap | calendar
-                          (default: heap); a pure performance switch —
-                          both deliver bit-identical results
     --json                emit the full result as JSON
 ";
 
@@ -174,7 +161,6 @@ fn sweep(args: &[String]) -> ExitCode {
     let mut jobs = afraid_exp::default_jobs();
     let mut json = false;
     let mut full = false;
-    let mut use_cache = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -199,8 +185,6 @@ fn sweep(args: &[String]) -> ExitCode {
                 None => return ExitCode::FAILURE,
             },
             "--full" => full = true,
-            "--cache" => use_cache = true,
-            "--no-cache" => use_cache = false,
             "--json" => json = true,
             other => {
                 eprintln!("unknown option '{other}'");
@@ -222,18 +206,8 @@ fn sweep(args: &[String]) -> ExitCode {
 
     let kinds = WorkloadKind::all();
     let duration = SimDuration::from_secs(secs);
-    let cache = use_cache.then(|| CellCache::new(CellCache::default_dir(), harness::RESULT_SCHEMA));
     let traces = afraid_exp::generate_traces(jobs, &kinds, capacity, duration, seed);
-    let rows = harness::run_cells_cached(
-        jobs,
-        &kinds,
-        &traces,
-        capacity,
-        duration,
-        seed,
-        &policies,
-        cache.as_ref(),
-    );
+    let rows = harness::run_cells(jobs, &traces, &policies);
 
     let mut cells = Vec::new();
     for (kind, row) in kinds.iter().zip(&rows) {
@@ -259,17 +233,6 @@ fn sweep(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        // Counters go to stderr: stdout stays a pure cells array, so
-        // cold and warm runs can be compared byte-for-byte.
-        if let Some(c) = &cache {
-            match serde_json::to_string(&c.stats()) {
-                Ok(s) => eprintln!("{s}"),
-                Err(e) => {
-                    eprintln!("cache stats serialisation failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
         return ExitCode::SUCCESS;
     }
 
@@ -293,10 +256,6 @@ fn sweep(args: &[String]) -> ExitCode {
             c.mttdl_overall_hours,
         );
     }
-    if let Some(c) = &cache {
-        println!();
-        println!("{}", c.stats().summary());
-    }
     ExitCode::SUCCESS
 }
 
@@ -306,7 +265,6 @@ fn chaos(args: &[String]) -> ExitCode {
     let mut cuts_n = 256usize;
     let mut jobs = afraid_exp::default_jobs();
     let mut scenarios: Vec<Scenario> = Scenario::ALL.to_vec();
-    let mut use_cache = false;
     let mut json = false;
 
     let mut it = args.iter();
@@ -354,8 +312,6 @@ fn chaos(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--cache" => use_cache = true,
-            "--no-cache" => use_cache = false,
             "--json" => json = true,
             other => {
                 eprintln!("unknown option '{other}'");
@@ -366,15 +322,13 @@ fn chaos(args: &[String]) -> ExitCode {
     }
 
     let duration = SimDuration::from_secs(secs);
-    let cache =
-        use_cache.then(|| CellCache::new(CellCache::default_dir(), afraid_chaos::CHAOS_SCHEMA));
     let mut summaries = Vec::new();
     for sc in &scenarios {
         let spec = sc.spec(duration, seed);
         let trace = spec.trace();
         let total = spec.total_events(&trace);
         let cuts = afraid_chaos::cut_points(total, cuts_n);
-        let verdicts = afraid_chaos::sweep(&spec, &trace, &cuts, jobs, cache.as_ref());
+        let verdicts = afraid_chaos::sweep(&spec, &trace, &cuts, jobs);
         summaries.push(afraid_chaos::summarize(sc.name(), &verdicts));
     }
     let all_passed = summaries.iter().all(|s| s.failed == 0);
@@ -385,17 +339,6 @@ fn chaos(args: &[String]) -> ExitCode {
             Err(e) => {
                 eprintln!("serialisation failed: {e}");
                 return ExitCode::FAILURE;
-            }
-        }
-        // Counters go to stderr so cold and warm stdout stay
-        // byte-comparable (same convention as `sweep --json`).
-        if let Some(c) = &cache {
-            match serde_json::to_string(&c.stats()) {
-                Ok(s) => eprintln!("{s}"),
-                Err(e) => {
-                    eprintln!("cache stats serialisation failed: {e}");
-                    return ExitCode::FAILURE;
-                }
             }
         }
     } else {
@@ -422,10 +365,6 @@ fn chaos(args: &[String]) -> ExitCode {
                 println!("  FIRST FAILURE: {f}");
             }
         }
-        if let Some(c) = &cache {
-            println!();
-            println!("{}", c.stats().summary());
-        }
     }
     if all_passed {
         ExitCode::SUCCESS
@@ -445,7 +384,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut scrub = afraid::config::ScrubConfig::default();
     let mut faults = afraid::config::FaultConfig::default();
     let mut integrity = afraid::config::IntegrityConfig::default();
-    let mut scheduler = afraid_sim::queue::SchedulerKind::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -602,18 +540,6 @@ fn run(args: &[String]) -> ExitCode {
                 integrity.verify_reads = true;
                 integrity.verify_scrub = true;
             }
-            "--scheduler" => {
-                let Some(v) = value("--scheduler") else {
-                    return ExitCode::FAILURE;
-                };
-                match afraid_sim::queue::SchedulerKind::parse(&v) {
-                    Some(k) => scheduler = k,
-                    None => {
-                        eprintln!("unknown scheduler '{v}' (want heap | calendar)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--json" => json = true,
             other => {
                 eprintln!("unknown option '{other}'");
@@ -628,7 +554,6 @@ fn run(args: &[String]) -> ExitCode {
     cfg.scrub = scrub;
     cfg.faults = faults;
     cfg.integrity = integrity;
-    cfg.scheduler = scheduler;
     // Checksums are kept against the intended contents, so injection
     // and verification both need the shadow content model.
     if cfg.integrity.active() {

@@ -26,7 +26,7 @@ fn assert_all_pass(scenario: Scenario, secs: u64, n_cuts: usize) -> afraid_chaos
         scenario.name()
     );
     let cuts = cut_points(total, n_cuts);
-    let verdicts = sweep(&spec, &trace, &cuts, 1, None);
+    let verdicts = sweep(&spec, &trace, &cuts, 1);
     let s = summarize(scenario.name(), &verdicts);
     assert_eq!(
         s.failed,
@@ -133,7 +133,7 @@ fn thousand_cut_acceptance_sweep() {
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, 1000);
         let jobs = afraid_exp::default_jobs();
-        let verdicts = sweep(&spec, &trace, &cuts, jobs, None);
+        let verdicts = sweep(&spec, &trace, &cuts, jobs);
         let s = summarize(scenario.name(), &verdicts);
         assert!(
             s.cuts >= 1000,
@@ -164,8 +164,8 @@ fn sweep_is_bit_identical_across_jobs() {
         let trace = spec.trace();
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, 48);
-        let seq = sweep(&spec, &trace, &cuts, 1, None);
-        let par = sweep(&spec, &trace, &cuts, 4, None);
+        let seq = sweep(&spec, &trace, &cuts, 1);
+        let par = sweep(&spec, &trace, &cuts, 4);
         let a = serde_json::to_string(&seq).unwrap();
         let b = serde_json::to_string(&par).unwrap();
         assert_eq!(

@@ -10,8 +10,7 @@
 //! * **Byte-exact repair** when redundancy is fresh, **honest
 //!   declaration** when the deferral window left parity stale.
 //! * **Zero false positives**: a clean run never trips a checksum.
-//! * **Bit-identical results** at any `--jobs`, replayable from the
-//!   cross-run cell cache.
+//! * **Bit-identical results** at any `--jobs`.
 
 use afraid::config::ArrayConfig;
 use afraid::driver::{run_trace, RunOptions};
