@@ -6,8 +6,15 @@
 //! depth for each, plus the sequential-vs-parallel speedup and a
 //! bit-identity check over the serialized [`RunResult`]s.
 //!
-//! One further axis rides along: the **xor micro**-benchmark, the
-//! chunked vs scalar parity-fold delta in `afraid::shadow`.
+//! Three micro-benchmarks ride along, each timing one layer of the
+//! simulator in isolation:
+//!
+//! * **xor micro**: the chunked vs scalar parity-fold delta in
+//!   `afraid::shadow`;
+//! * **disk micro**: ns per `Disk::submit` (the service-time model) on
+//!   a fixed seeded request stream against an HP C3325;
+//! * **queue micro**: ns per event through the event queue
+//!   (`schedule_batch` + `pop`) at array-like depth.
 //!
 //! Usage: `perfbench [duration_secs] [--jobs N]`
 //!
@@ -22,6 +29,11 @@ use std::time::Instant;
 use afraid::layout::Layout;
 use afraid::shadow::ShadowArray;
 use afraid_bench::harness;
+use afraid_disk::disk::{Disk, DiskRequest, OpKind};
+use afraid_disk::model::DiskModel;
+use afraid_sim::queue::EventQueue;
+use afraid_sim::rng::SplitMix64;
+use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::workloads::WorkloadKind;
 use serde::Serialize;
 
@@ -54,6 +66,25 @@ struct XorMicro {
 }
 
 #[derive(Serialize)]
+struct DiskMicro {
+    model: String,
+    requests: u64,
+    secs: f64,
+    ns_per_submit: f64,
+}
+
+#[derive(Serialize)]
+struct QueueMicro {
+    /// Live events held in the queue while it is timed.
+    depth: usize,
+    /// Events scheduled (in bursts) and popped.
+    events: u64,
+    secs: f64,
+    /// ns per event: its share of a `schedule_batch` plus one `pop`.
+    ns_per_event: f64,
+}
+
+#[derive(Serialize)]
 struct Report {
     duration_secs: f64,
     seed: u64,
@@ -65,6 +96,10 @@ struct Report {
     bit_identical: bool,
     /// Chunked vs scalar parity folds in the shadow model.
     xor_micro: XorMicro,
+    /// The disk service-time model alone.
+    disk_micro: DiskMicro,
+    /// The event queue alone.
+    queue_micro: QueueMicro,
     available_parallelism: usize,
     /// True when the parallel leg ran more workers than the machine
     /// has cores: the speedup then measures scheduler contention, not
@@ -174,6 +209,97 @@ fn run_xor_micro() -> XorMicro {
     }
 }
 
+/// ns per `Disk::submit` on a fixed seeded stream: a mix of random
+/// and sequential reads and writes of 1-64 KB, each arriving 0-20 ms
+/// after the previous one completes.
+fn run_disk_micro() -> DiskMicro {
+    const REQUESTS: u64 = 2_000_000;
+    let model = DiskModel::hp_c3325();
+    let name = model.name.clone();
+    let mut disk = Disk::new(model, SimDuration::ZERO);
+    let cap = disk.capacity_sectors();
+    let mut rng = SplitMix64::new(0xD15C_0015);
+    let reqs: Vec<(u64, DiskRequest)> = (0..REQUESTS)
+        .scan(0u64, |next_lba, _| {
+            let sectors = 2 << rng.next_below(7);
+            let lba = if rng.chance(0.3) {
+                *next_lba
+            } else {
+                rng.next_below(cap - 128)
+            }
+            .min(cap - sectors);
+            *next_lba = (lba + sectors) % (cap - 128);
+            let op = if rng.chance(0.4) {
+                OpKind::Write
+            } else {
+                OpKind::Read
+            };
+            let gap = rng.next_below(20_000_000);
+            Some((gap, DiskRequest { lba, sectors, op }))
+        })
+        .collect();
+
+    let t = Instant::now();
+    let mut now = SimTime::ZERO;
+    for (gap, req) in &reqs {
+        now = disk
+            .submit(now + SimDuration::from_nanos(*gap), req)
+            .expect_ok();
+    }
+    let secs = t.elapsed().as_secs_f64();
+    black_box(now);
+    DiskMicro {
+        model: name,
+        requests: REQUESTS,
+        secs,
+        ns_per_submit: secs * 1e9 / REQUESTS as f64,
+    }
+}
+
+/// ns per event through the queue at a steady depth of 64 live events
+/// (the busiest benchmark cells peak near 60): each round admits a
+/// five-disk burst with `schedule_batch` and pops five events.
+fn run_queue_micro() -> QueueMicro {
+    const DEPTH: usize = 64;
+    const BURST: u64 = 5;
+    const ROUNDS: u64 = 1_000_000;
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut rng = SplitMix64::new(0x0E0E_0015);
+    for i in 0..DEPTH as u64 {
+        q.schedule(SimTime::from_nanos(rng.next_below(30_000_000)), i);
+    }
+    let offsets: Vec<u64> = (0..ROUNDS * BURST)
+        .map(|_| rng.next_below(30_000_000))
+        .collect();
+
+    let t = Instant::now();
+    let mut now = SimTime::ZERO;
+    let mut acc = 0u64;
+    for burst in offsets.chunks_exact(BURST as usize) {
+        q.schedule_batch(
+            burst
+                .iter()
+                .map(|&dt| (now + SimDuration::from_nanos(dt), dt)),
+        );
+        for _ in 0..BURST {
+            if let Some((at, e)) = q.pop() {
+                now = at;
+                acc ^= e;
+            }
+        }
+    }
+    let secs = t.elapsed().as_secs_f64();
+    black_box(acc);
+    assert_eq!(q.len(), DEPTH, "queue depth drifted");
+    let events = ROUNDS * BURST;
+    QueueMicro {
+        depth: DEPTH,
+        events,
+        secs,
+        ns_per_event: secs * 1e9 / events as f64,
+    }
+}
+
 fn main() {
     let args = harness::bench_args(DEFAULT_SECS);
     let duration = args.duration;
@@ -251,6 +377,16 @@ fn main() {
         "xor micro ({} stripes x {} disks x {} iters): scalar {:.3}s, chunked {:.3}s, {:.2}x",
         xor.stripes, xor.disks, xor.iters, xor.scalar_secs, xor.chunked_secs, xor.speedup
     );
+    let disk_micro = run_disk_micro();
+    println!(
+        "disk micro ({} requests, {}): {:.1} ns per submit",
+        disk_micro.requests, disk_micro.model, disk_micro.ns_per_submit
+    );
+    let queue_micro = run_queue_micro();
+    println!(
+        "queue micro ({} events at depth {}): {:.1} ns per event",
+        queue_micro.events, queue_micro.depth, queue_micro.ns_per_event
+    );
 
     // The "expect >=2x" claim only applies where the hardware can
     // deliver it; on a single-core or oversubscribed runner the note
@@ -292,6 +428,8 @@ fn main() {
         speedup,
         bit_identical: identical,
         xor_micro: xor,
+        disk_micro,
+        queue_micro,
         available_parallelism: nproc,
         oversubscribed,
         note,

@@ -43,8 +43,9 @@
 //! in degraded mode.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use afraid_disk::disk::{Disk, DiskRequest, OpKind};
+use afraid_disk::disk::{Disk, DiskRequest, OpKind, ServiceTables};
 use afraid_disk::sched::Scheduler;
 use afraid_disk::{
     FailSlowWindow, FaultInjector, FaultProfile, IoOutcome, SilentProfile, SilentWriteFault,
@@ -415,6 +416,7 @@ impl Controller {
         let disk_sectors = cfg.disk_model.geometry.capacity_sectors();
         let layout = Layout::new(cfg.disks, cfg.stripe_unit_bytes, disk_sectors);
         let rev = cfg.disk_model.revolution();
+        let tables = Arc::new(ServiceTables::new(cfg.disk_model.clone()));
         let mut disks: Vec<Disk> = (0..cfg.disks)
             .map(|i| {
                 let phase = if cfg.spin_synchronized {
@@ -422,7 +424,7 @@ impl Controller {
                 } else {
                     rev * u64::from(i) / u64::from(cfg.disks)
                 };
-                Disk::new(cfg.disk_model.clone(), phase)
+                Disk::from_tables(Arc::clone(&tables), phase)
             })
             .collect();
         // Transient-fault injection: one forked RNG substream per disk

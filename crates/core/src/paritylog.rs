@@ -24,7 +24,9 @@
 //! AFRAID, no exposure window, occasional replay stalls — for the
 //! ablation bench.
 
-use afraid_disk::disk::{Disk, DiskRequest, OpKind};
+use std::sync::Arc;
+
+use afraid_disk::disk::{Disk, DiskRequest, OpKind, ServiceTables};
 use afraid_sim::stats::OnlineStats;
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::{ReqKind, Trace};
@@ -96,8 +98,9 @@ pub fn run_parity_logging(
         "trace too large"
     );
 
+    let tables = Arc::new(ServiceTables::new(cfg.disk_model.clone()));
     let mut disks: Vec<Disk> = (0..cfg.disks)
-        .map(|_| Disk::new(cfg.disk_model.clone(), SimDuration::ZERO))
+        .map(|_| Disk::from_tables(Arc::clone(&tables), SimDuration::ZERO))
         .collect();
 
     // The log region lives on the last sectors of every disk's space

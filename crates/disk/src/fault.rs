@@ -243,6 +243,7 @@ impl FaultInjector {
 
     /// Draws the fault for one attempt. Zero rates consume no random
     /// numbers; patient mode draws nothing at all.
+    #[inline]
     pub fn draw(&mut self) -> Fault {
         if self.patient {
             return Fault::None;

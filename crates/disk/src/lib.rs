@@ -40,7 +40,7 @@ pub mod sched;
 pub mod seek;
 
 pub use cache::SegmentedCache;
-pub use disk::{Disk, DiskRequest, DiskStats, OpKind};
+pub use disk::{Disk, DiskRequest, DiskStats, OpKind, ServiceTables};
 pub use fault::{
     FailSlowWindow, FaultInjector, FaultProfile, IoOutcome, SilentProfile, SilentWriteFault,
 };

@@ -7,55 +7,84 @@
 //! deliver same-time events in an unspecified order. Storage is a
 //! `BinaryHeap`, O(log n) per schedule/pop.
 //!
-//! Cancellation is lazy and `O(1)`: the queue tracks the set of
-//! *pending* ids (scheduled, not yet delivered or cancelled), and
-//! [`EventQueue::cancel`] simply removes the id from that set. A stored
-//! entry whose id is no longer pending is a tombstone; [`EventQueue::pop`]
-//! and [`EventQueue::peek_time`] discard tombstones as they surface at
-//! the front, so each cancelled entry is swept exactly once over its
-//! lifetime (counted by [`EventQueue::scan_ops`]). Timers that are
-//! re-armed frequently (the idle detector) rely on this being cheap.
+//! Cancellation is lazy and `O(1)`, through a slot table. The heap
+//! orders small `(time, seq, slot)` keys; each key owns a slot that
+//! holds its event while the event is *pending* (scheduled, not yet
+//! delivered or cancelled). An [`EventId`] names the slot and the
+//! slot's generation when the event was scheduled.
+//! [`EventQueue::cancel`] empties a pending slot of the right
+//! generation, leaving its key behind as a tombstone.
+//! [`EventQueue::pop`] and [`EventQueue::peek_time`] discard tombstones
+//! as they surface at the front, so each cancelled entry is swept
+//! exactly once over its lifetime (counted by [`EventQueue::scan_ops`]).
+//! A slot is freed, and its generation bumped, only when its entry
+//! leaves the heap; a stale id whose slot has since been reused
+//! therefore never matches. Timers that are re-armed frequently (the
+//! idle detector) rely on this being cheap.
 //!
-//! [`EventQueue::schedule_batch`] admits a burst of events in one
-//! heapify-and-merge pass instead of a per-event sift; the controller
-//! uses it for multi-disk I/O bursts.
+//! [`EventQueue::schedule_batch`] admits a burst of events with one
+//! heap maintenance pass (std's tail sift-up or rebuild, whichever is
+//! cheaper); the controller uses it for multi-disk I/O bursts.
 
 use std::cmp::Ordering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::hash::U64Set;
 use crate::time::SimTime;
 
-/// Opaque handle identifying a scheduled event, used to cancel it.
+/// Opaque handle identifying a scheduled event, used to cancel it: the
+/// slot tracking the event and the slot's generation at scheduling.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
-
-/// Stored entry: ordered by time, then by insertion sequence.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+pub struct EventId {
+    slot: u32,
+    generation: u64,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// Stored heap key: ordered by time, then by insertion sequence. The
+/// event waits in the key's slot, so sifts move only the key.
+struct Entry {
+    time: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+impl Entry {
+    /// `(time, seq)` as one integer, so a sift compares once, without
+    /// a branch on equal times.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
 
-impl<E> PartialOrd for Entry<E> {
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
+        self.key().cmp(&other.key())
     }
+}
+
+struct Slot<E> {
+    /// Bumped each time the slot is freed, so ids issued for earlier
+    /// occupants stop matching.
+    generation: u64,
+    /// The event while it is pending; `None` once it is cancelled
+    /// (its key is a tombstone) or while the slot is free.
+    event: Option<E>,
 }
 
 /// A deterministic time-ordered event queue.
@@ -74,14 +103,18 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<Entry>>,
     /// Reusable staging buffer for `schedule_batch`, so a burst costs
-    /// one heapify-and-merge and no allocation at steady state.
-    staged: Vec<Reverse<Entry<E>>>,
-    /// Ids that are scheduled and neither delivered nor cancelled.
-    /// Invariant: `pending` is a subset of the ids stored in the heap,
-    /// so `heap.len() - pending.len()` is the live tombstone count.
-    pending: U64Set,
+    /// one heap maintenance pass and no allocation at steady state.
+    staged: Vec<Reverse<Entry>>,
+    /// One slot per stored key, plus the free ones.
+    /// Invariant: `slots.len() == heap.len() + free.len()`.
+    slots: Vec<Slot<E>>,
+    /// Free slot indices, reused last-in first-out.
+    free: Vec<u32>,
+    /// Slots holding a pending event. The live tombstone count is
+    /// `heap.len() - live`.
+    live: usize,
     next_seq: u64,
     /// Tombstoned entries swept so far. Every cancelled event is
     /// counted exactly once, when its entry is discarded from the
@@ -102,24 +135,68 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             staged: Vec::new(),
-            pending: U64Set::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             next_seq: 0,
             scan_ops: 0,
         }
     }
 
-    /// Asserts the pending-set/heap consistency invariant (debug
-    /// builds only): every pending id has a stored entry, so the
-    /// tombstone count `heap.len() - pending.len()` is never
-    /// negative. Checked at every mutation; a violation would mean a
-    /// live event can never fire.
+    /// Asserts the slot-table/heap consistency invariants (debug
+    /// builds only): every stored entry owns exactly one slot and
+    /// every other slot is free, and the live count never exceeds the
+    /// stored entries. Checked at every mutation; a violation would
+    /// mean a live event can never fire.
     fn check_invariant(&self) {
         debug_assert!(
-            self.pending.len() <= self.heap.len(),
-            "event queue invariant broken: {} pending ids but only {} stored entries",
-            self.pending.len(),
-            self.heap.len()
+            self.slots.len() == self.heap.len() + self.free.len() && self.live <= self.heap.len(),
+            "event queue invariant broken: {} slots, {} stored entries, {} free, {} live",
+            self.slots.len(),
+            self.heap.len(),
+            self.free.len(),
+            self.live
         );
+    }
+
+    /// Parks `event` in a free slot (or grows the table).
+    fn claim_slot(&mut self, event: E) -> EventId {
+        self.live += 1;
+        if let Some(slot) = self.free.pop() {
+            // Free-list indices always name existing slots; the table
+            // never shrinks.
+            if let Some(s) = self.slots.get_mut(slot as usize) {
+                s.event = Some(event);
+                return EventId {
+                    slot,
+                    generation: s.generation,
+                };
+            }
+        }
+        // A slot per stored key: `u32` outlasts any heap that fits in
+        // memory.
+        let slot = self.slots.len() as u32;
+        self.slots.push(Slot {
+            generation: 0,
+            event: Some(event),
+        });
+        EventId {
+            slot,
+            generation: 0,
+        }
+    }
+
+    /// Frees `slot` after its key left the heap, returning its event
+    /// if it was pending; `None` means the key was a tombstone.
+    fn release(&mut self, slot: u32) -> Option<E> {
+        let s = self.slots.get_mut(slot as usize)?;
+        let event = s.event.take();
+        s.generation += 1;
+        self.free.push(slot);
+        if event.is_some() {
+            self.live -= 1;
+        }
+        event
     }
 
     /// Schedules `event` to fire at `time` and returns a handle that can
@@ -127,10 +204,14 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        let id = self.claim_slot(event);
+        self.heap.push(Reverse(Entry {
+            time,
+            seq,
+            slot: id.slot,
+        }));
         self.check_invariant();
-        EventId(seq)
+        id
     }
 
     /// Schedules a burst of events in one maintenance pass.
@@ -138,8 +219,9 @@ impl<E> EventQueue<E> {
     /// Sequence numbers are assigned in iteration order, so the
     /// delivered order is exactly what a loop of [`EventQueue::schedule`]
     /// calls would produce — batching is a cost optimisation, never a
-    /// semantic change. The heap pays one heapify-and-merge for the
-    /// whole burst instead of a per-event sift.
+    /// semantic change. The heap is maintained once for the whole
+    /// burst: it sifts the new keys up or rebuilds, whichever is
+    /// cheaper.
     pub fn schedule_batch<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (SimTime, E)>,
@@ -147,15 +229,11 @@ impl<E> EventQueue<E> {
         for (time, event) in items {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.pending.insert(seq);
-            self.staged.push(Reverse(Entry { time, seq, event }));
+            let slot = self.claim_slot(event).slot;
+            self.staged.push(Reverse(Entry { time, seq, slot }));
         }
-        // One maintenance pass: heapify the staged run in place and
-        // merge (std's `append` sifts or rebuilds, whichever is
-        // cheaper). The buffer is recycled afterwards.
-        let mut batch = BinaryHeap::from(std::mem::take(&mut self.staged));
-        self.heap.append(&mut batch);
-        self.staged = batch.into_vec();
+        // std's `extend` appends the keys, then picks sift-up or rebuild.
+        self.heap.extend(self.staged.drain(..));
         self.check_invariant();
     }
 
@@ -166,9 +244,16 @@ impl<E> EventQueue<E> {
     /// is a no-op returning `false`. The stored entry stays behind as a
     /// tombstone and is discarded when it reaches the front.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // Only issued-and-undelivered ids are in `pending`, so a single
-        // set removal gives exact semantics for every case.
-        self.pending.remove(&id.0)
+        // A delivered or swept event's slot has a newer generation; a
+        // cancelled one is empty.
+        match self.slots.get_mut(id.slot as usize) {
+            Some(s) if s.generation == id.generation && s.event.is_some() => {
+                s.event = None;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Removes and returns the earliest live event, skipping tombstones.
@@ -178,9 +263,9 @@ impl<E> EventQueue<E> {
                 self.check_invariant();
                 return None;
             };
-            if self.pending.remove(&entry.seq) {
+            if let Some(event) = self.release(entry.slot) {
                 self.check_invariant();
-                return Some((entry.time, entry.event));
+                return Some((entry.time, event));
             }
             // Tombstone: cancelled earlier, swept now, exactly once.
             self.scan_ops += 1;
@@ -192,7 +277,7 @@ impl<E> EventQueue<E> {
         // Fast path: no tombstones anywhere in the heap, nothing to
         // drain. This is the common case — cancels are rare relative to
         // schedules in every workload we model.
-        if self.heap.len() != self.pending.len() {
+        if self.heap.len() != self.live {
             self.drain_tombstones();
         }
         self.heap.peek().map(|Reverse(e)| e.time)
@@ -200,12 +285,12 @@ impl<E> EventQueue<E> {
 
     /// Number of live (not cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Total tombstoned entries discarded so far; a measure of the work
@@ -219,10 +304,16 @@ impl<E> EventQueue<E> {
     /// entry.
     fn drain_tombstones(&mut self) {
         while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.pending.contains(&entry.seq) {
+            let slot = entry.slot;
+            let pending = self
+                .slots
+                .get(slot as usize)
+                .is_some_and(|s| s.event.is_some());
+            if pending {
                 break;
             }
             self.heap.pop();
+            self.release(slot);
             self.scan_ops += 1;
         }
         self.check_invariant();
@@ -312,7 +403,10 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_noop() {
         let mut q: EventQueue<i64> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
+        assert!(!q.cancel(EventId {
+            slot: 42,
+            generation: 0
+        }));
     }
 
     #[test]
@@ -483,5 +577,176 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn stale_id_after_slot_reuse_is_rejected() {
+        let mut q: EventQueue<i64> = EventQueue::new();
+        let old = q.schedule(SimTime::from_millis(1), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 1)));
+        let new = q.schedule(SimTime::from_millis(2), 2);
+        assert_eq!(new.slot, old.slot, "the freed slot is reused");
+        assert_ne!(new.generation, old.generation);
+        assert!(!q.cancel(old));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
+
+        // Likewise once a cancelled occupant's tombstone is swept.
+        let gone = q.schedule(SimTime::from_millis(3), 3);
+        assert!(q.cancel(gone));
+        assert_eq!(q.pop(), None);
+        let next = q.schedule(SimTime::from_millis(4), 4);
+        assert_eq!(next.slot, gone.slot);
+        assert!(!q.cancel(gone));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(4)));
+        assert!(q.cancel(next));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancel_after_delivery_and_double_cancel_return_false() {
+        let mut q: EventQueue<i64> = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), 1);
+        let b = q.schedule(SimTime::from_millis(2), 2);
+        assert!(q.cancel(b));
+        // Double cancel while the tombstone is still stored.
+        assert!(!q.cancel(b));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 1)));
+        // Cancel after delivery.
+        assert!(!q.cancel(a));
+        // `a`'s slot goes to `c`; neither old id touches it.
+        let c = q.schedule(SimTime::from_millis(3), 3);
+        assert_eq!(c.slot, a.slot);
+        assert!(!q.cancel(a));
+        assert!(!q.cancel(b));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(3), 3)));
+        assert!(!q.cancel(c));
+        assert!(!q.cancel(b));
+        assert_eq!(q.scan_ops(), 1);
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Reference for the cost model: cancelled entries stay stored as
+    /// tombstones until they reach the front, so it predicts
+    /// `scan_ops` as well as the delivered sequence and `len`.
+    #[derive(Default)]
+    struct SweepReference {
+        /// `(time, seq, payload, cancelled)`, sorted descending.
+        entries: Vec<(u64, u64, i64, bool)>,
+        next_seq: u64,
+        swept: u64,
+    }
+
+    impl SweepReference {
+        fn schedule(&mut self, time: u64, payload: i64) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let at = self.entries.partition_point(|e| (e.0, e.1) > (time, seq));
+            self.entries.insert(at, (time, seq, payload, false));
+            seq
+        }
+
+        fn cancel(&mut self, seq: u64) -> bool {
+            match self.entries.iter_mut().find(|e| e.1 == seq && !e.3) {
+                Some(e) => {
+                    e.3 = true;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn sweep(&mut self) {
+            while self.entries.last().is_some_and(|e| e.3) {
+                self.entries.pop();
+                self.swept += 1;
+            }
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, i64)> {
+            self.sweep();
+            let (time, _, payload, _) = self.entries.pop()?;
+            Some((SimTime::from_nanos(time), payload))
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.sweep();
+            self.entries.last().map(|e| SimTime::from_nanos(e.0))
+        }
+
+        fn len(&self) -> usize {
+            self.entries.iter().filter(|e| !e.3).count()
+        }
+    }
+
+    /// A small live set recycles slots constantly; `len` and
+    /// `scan_ops` must match the sweep model after every operation,
+    /// while live and stale ids are cancelled.
+    #[test]
+    fn len_and_scan_ops_match_reference_under_slot_reuse() {
+        use crate::rng::SplitMix64;
+
+        let mut q: EventQueue<i64> = EventQueue::new();
+        let mut model = SweepReference::default();
+        let mut rng = SplitMix64::new(0xAF1D_0015);
+        let mut now = 0u64;
+        let mut live: Vec<(EventId, u64)> = Vec::new();
+        let mut retired: Vec<(EventId, u64)> = Vec::new();
+        // Payload (= op index) -> id, to retire delivered events.
+        let mut by_payload: Vec<Option<(EventId, u64)>> = Vec::new();
+        for i in 0..50_000u64 {
+            by_payload.push(None);
+            match rng.next_u64() % 10 {
+                0..=3 => {
+                    let t = now + (rng.next_u64() % 4) * 500;
+                    let id = q.schedule(SimTime::from_nanos(t), i as i64);
+                    let seq = model.schedule(t, i as i64);
+                    live.push((id, seq));
+                    by_payload[i as usize] = Some((id, seq));
+                }
+                4 | 5 => {
+                    if !live.is_empty() {
+                        let k = (rng.next_u64() as usize) % live.len();
+                        let (id, seq) = live.swap_remove(k);
+                        assert_eq!(q.cancel(id), model.cancel(seq), "op {i}");
+                        retired.push((id, seq));
+                    }
+                }
+                6 => {
+                    if !retired.is_empty() {
+                        let k = (rng.next_u64() as usize) % retired.len();
+                        let (id, seq) = retired[k];
+                        assert!(!model.cancel(seq));
+                        assert!(!q.cancel(id), "stale id cancelled at op {i}");
+                    }
+                }
+                7 => assert_eq!(q.peek_time(), model.peek_time(), "op {i}"),
+                _ => {
+                    let got = q.pop();
+                    assert_eq!(got, model.pop(), "divergence at op {i}");
+                    if let Some((t, payload)) = got {
+                        now = t.as_nanos();
+                        let done = by_payload[payload as usize].take();
+                        let done = done.expect("delivered events were scheduled singly");
+                        live.retain(|&(_, seq)| seq != done.1);
+                        retired.push(done);
+                    }
+                }
+            }
+            assert_eq!(q.len(), model.len(), "len diverged at op {i}");
+            assert_eq!(q.scan_ops(), model.swept, "scan_ops diverged at op {i}");
+        }
+        while let Some(got) = q.pop() {
+            assert_eq!(Some(got), model.pop());
+        }
+        assert_eq!(model.pop(), None);
+        assert_eq!(q.scan_ops(), model.swept);
+        assert!(
+            q.slots.len() < 1_000,
+            "slots were not reused: {}",
+            q.slots.len()
+        );
     }
 }

@@ -38,6 +38,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -47,6 +48,7 @@ impl SplitMix64 {
     }
 
     /// Returns a uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random bits scaled into [0,1) — the standard construction.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -94,6 +96,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.next_f64() < p

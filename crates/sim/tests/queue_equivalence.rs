@@ -1,10 +1,13 @@
 //! Property test: the event queue is observationally identical to a
 //! naive reference model on arbitrary interleaved
 //! schedule/cancel/pop/peek programs — including same-instant ties,
-//! batched bursts, and cancel-heavy churn. The reference is a flat
+//! batched bursts, cancel-heavy churn, and stale ids cancelled after
+//! their slot has been reused. The reference is a flat
 //! list popped by minimum `(time, seq)` with linear-remove cancel, so
 //! it states the `(time, seq)` total-order contract every simulation
 //! result rests on with no data-structure cleverness to get wrong.
+
+use std::collections::BTreeMap;
 
 use afraid_sim::queue::{EventId, EventQueue};
 use afraid_sim::time::SimTime;
@@ -19,6 +22,9 @@ enum Op {
     Batch(Vec<u64>),
     /// Cancel the id at `index % live` (no-op when none are live).
     Cancel(usize),
+    /// Cancel again the retired (delivered or cancelled) id at
+    /// `index % retired`: by now its slot has usually been reused.
+    CancelStale(usize),
     Pop,
     Peek,
 }
@@ -70,6 +76,7 @@ fn programs() -> impl Strategy<Value = Vec<Op>> {
             dt.clone().prop_map(Op::Schedule),
             prop::collection::vec(dt, 0..12).prop_map(Op::Batch),
             (0usize..1 << 16).prop_map(Op::Cancel),
+            (0usize..1 << 16).prop_map(Op::CancelStale),
             Just(Op::Pop),
             Just(Op::Peek),
         ],
@@ -84,13 +91,19 @@ fn run_lockstep(program: &[Op]) -> Result<(), TestCaseError> {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut model = Reference::default();
     let mut ids: Vec<(EventId, u64)> = Vec::new();
+    let mut retired: Vec<(EventId, u64)> = Vec::new();
+    // Payload -> id of events scheduled singly, to retire them on
+    // delivery.
+    let mut by_payload: BTreeMap<u64, (EventId, u64)> = BTreeMap::new();
     let mut now = 0u64;
     let mut payload = 0u64;
     for (step, op) in program.iter().enumerate() {
         match op {
             Op::Schedule(dt) => {
                 let id = q.schedule(SimTime::from_nanos(now + dt), payload);
-                ids.push((id, model.schedule(now + dt, payload)));
+                let handle = (id, model.schedule(now + dt, payload));
+                ids.push(handle);
+                by_payload.insert(payload, handle);
                 payload += 1;
             }
             Op::Batch(dts) => {
@@ -114,6 +127,14 @@ fn run_lockstep(program: &[Op]) -> Result<(), TestCaseError> {
                         "cancel outcome diverged at step {}",
                         step
                     );
+                    retired.push((id, seq));
+                }
+            }
+            Op::CancelStale(index) => {
+                if !retired.is_empty() {
+                    let (id, seq) = retired[index % retired.len()];
+                    prop_assert!(!model.cancel(seq));
+                    prop_assert!(!q.cancel(id), "stale id cancelled at step {}", step);
                 }
             }
             Op::Pop => {
@@ -127,8 +148,11 @@ fn run_lockstep(program: &[Op]) -> Result<(), TestCaseError> {
                     got,
                     want
                 );
-                if let Some((t, _)) = got {
+                if let Some((t, p)) = got {
                     now = t.as_nanos();
+                    if let Some(handle) = by_payload.remove(&p) {
+                        retired.push(handle);
+                    }
                 }
             }
             Op::Peek => {
@@ -174,6 +198,9 @@ fn queue_matches_reference_at_100k_churn() {
     let mut model = Reference::default();
     let mut rng = SplitMix64::new(0xAF1D_0900);
     let mut ids: Vec<(EventId, u64)> = Vec::new();
+    // Ids of delivered or cancelled events.
+    let mut retired: Vec<(EventId, u64)> = Vec::new();
+    let mut by_payload: BTreeMap<u64, (EventId, u64)> = BTreeMap::new();
     let mut now = 0u64;
     let mut cancelled = 0u64;
     for i in 0..100_000u64 {
@@ -187,7 +214,9 @@ fn queue_matches_reference_at_100k_churn() {
                     (rng.next_u64() % 64) * 100
                 };
                 let id = q.schedule(SimTime::from_nanos(now + dt), i);
-                ids.push((id, model.schedule(now + dt, i)));
+                let handle = (id, model.schedule(now + dt, i));
+                ids.push(handle);
+                by_payload.insert(i, handle);
             }
             4 | 5 => {
                 if !ids.is_empty() {
@@ -196,16 +225,28 @@ fn queue_matches_reference_at_100k_churn() {
                     let live = model.cancel(seq);
                     assert_eq!(q.cancel(id), live);
                     cancelled += u64::from(live);
+                    retired.push((id, seq));
+                }
+                // Re-cancel a retired id: its slot has usually been
+                // reused by a later event, which must stay live.
+                if !retired.is_empty() {
+                    let (id, seq) = retired[i as usize % retired.len()];
+                    assert!(!model.cancel(seq));
+                    assert!(!q.cancel(id), "stale id cancelled at op {i}");
                 }
             }
             _ => {
                 let got = q.pop();
                 assert_eq!(got, model.pop(), "divergence at op {i}");
-                if let Some((t, _)) = got {
+                if let Some((t, p)) = got {
                     now = t.as_nanos();
+                    if let Some(handle) = by_payload.remove(&p) {
+                        retired.push(handle);
+                    }
                 }
             }
         }
+        assert_eq!(q.len(), model.len(), "len diverged at op {i}");
     }
     loop {
         let got = q.pop();
