@@ -37,6 +37,7 @@
 //! | [`nvram`] | the marking memory (dirty-stripe bitmap) |
 //! | [`policy`] | parity-update policies: the perf/availability dial |
 //! | [`controller`] | the event-driven array controller |
+//! | [`sweep`] | the batch lifecycle shared by the parity scrub, tour and rebuild |
 //! | [`driver`] | trace-driven runs |
 //! | [`metrics`] | per-run measurements |
 //! | [`faults`] | disk/NVRAM failure injection, latent sector errors, loss assessment |
@@ -71,6 +72,7 @@ pub mod regions;
 pub mod report;
 pub mod scrub;
 pub mod shadow;
+pub mod sweep;
 
 pub use config::{ArrayConfig, FailSlowConfig, FaultConfig, ScrubConfig};
 pub use driver::{run_trace, RunOptions, RunResult};

@@ -67,6 +67,7 @@ const D1_EXEMPT_CRATES: &[&str] = &["bench"];
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/controller.rs",
     "crates/core/src/integrity.rs",
+    "crates/core/src/sweep.rs",
     "crates/disk/src/sched.rs",
     "crates/sim/src/queue.rs",
 ];
