@@ -6,7 +6,11 @@
 //! * **disk micro**: ns per `Disk::submit` (the service-time model) on
 //!   a fixed seeded request stream against an HP C3325;
 //! * **queue micro**: ns per event through the event queue
-//!   (`schedule_batch` + `pop`) at array-like depth.
+//!   (`schedule_batch` + `pop`) at array-like depth;
+//! * **cut micro**: ns per crash cut at cut 0 for each chaos scenario —
+//!   array construction, crash capture, recovery replay and verdict,
+//!   with no simulated event in between: the fixed cost every cut
+//!   pays before its prefix replay.
 //!
 //! Usage: `perfbench` (no arguments). Writes `BENCH_parallel_sweep.json`
 //! at the repository root. That the experiment matrix is bit-identical
@@ -18,6 +22,7 @@ use std::time::Instant;
 
 use afraid::layout::Layout;
 use afraid::shadow::ShadowArray;
+use afraid_chaos::Scenario;
 use afraid_disk::disk::{Disk, DiskRequest, OpKind};
 use afraid_disk::model::DiskModel;
 use afraid_sim::queue::EventQueue;
@@ -56,6 +61,16 @@ struct QueueMicro {
 }
 
 #[derive(Serialize)]
+struct CutMicro {
+    scenario: String,
+    /// Cuts judged.
+    cuts: u64,
+    secs: f64,
+    /// ns per cut at cut 0: construct, capture, replay and judge.
+    ns_per_cut: f64,
+}
+
+#[derive(Serialize)]
 struct Report {
     /// Chunked vs scalar parity folds in the shadow model.
     xor_micro: XorMicro,
@@ -63,6 +78,8 @@ struct Report {
     disk_micro: DiskMicro,
     /// The event queue alone.
     queue_micro: QueueMicro,
+    /// A crash cut's fixed cost, per chaos scenario.
+    cut_micro: Vec<CutMicro>,
 }
 
 /// Chunked vs scalar parity folds over a dirtied shadow array.
@@ -212,6 +229,32 @@ fn run_queue_micro() -> QueueMicro {
     }
 }
 
+/// ns per crash cut at cut 0, per scenario, on the 1 s chaos traces
+/// (seed 42). Every verdict must pass.
+fn run_cut_micro() -> Vec<CutMicro> {
+    const CUTS: u64 = 2000;
+    Scenario::ALL
+        .into_iter()
+        .map(|sc| {
+            let spec = sc.spec(SimDuration::from_secs(1), 42);
+            let trace = spec.trace();
+            let t = Instant::now();
+            for _ in 0..CUTS {
+                let v = spec.run_cut(black_box(&trace), 0);
+                assert!(v.pass, "{}: cut 0 failed: {:?}", sc.name(), v.failure);
+                black_box(v);
+            }
+            let secs = t.elapsed().as_secs_f64();
+            CutMicro {
+                scenario: sc.name().to_string(),
+                cuts: CUTS,
+                secs,
+                ns_per_cut: secs * 1e9 / CUTS as f64,
+            }
+        })
+        .collect()
+}
+
 fn main() -> ExitCode {
     if let Some(arg) = std::env::args().nth(1) {
         eprintln!("perfbench: unexpected argument '{arg}'");
@@ -234,10 +277,19 @@ fn main() -> ExitCode {
         queue_micro.events, queue_micro.depth, queue_micro.ns_per_event
     );
 
+    let cut_micro = run_cut_micro();
+    for c in &cut_micro {
+        println!(
+            "cut micro ({}, {} cuts at cut 0): {:.0} ns per cut",
+            c.scenario, c.cuts, c.ns_per_cut
+        );
+    }
+
     let report = Report {
         xor_micro: xor,
         disk_micro,
         queue_micro,
+        cut_micro,
     };
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -6,7 +6,7 @@
 //! reproducible crash experiment.
 
 use afraid::config::ArrayConfig;
-use afraid::driver::{run_to_cut, run_trace, RunOptions};
+use afraid::driver::{run_to_cut, run_trace, CrashRun, RunOptions};
 use afraid::policy::ParityPolicy;
 use afraid::recovery::replay;
 use afraid_sim::time::{SimDuration, SimTime};
@@ -227,6 +227,14 @@ impl ChaosSpec {
     /// Runs one crash experiment: replay to the cut, apply the
     /// crash-time injections, recover, and judge.
     pub fn run_cut(&self, trace: &Trace, cut: u64) -> CutVerdict {
+        let run = self.crash(trace, cut);
+        let outcome = replay(&run.image);
+        judge(cut, &run.image, &outcome, run.loss.as_ref())
+    }
+
+    /// Replays to the cut and applies the crash-time injections: the
+    /// crash image power-on recovery starts from.
+    pub fn crash(&self, trace: &Trace, cut: u64) -> CrashRun {
         let mut run = run_to_cut(&self.cfg, trace, &self.opts, cut);
         if let Some(disk) = self.kill_disk_at_cut {
             // If an in-run failure already left a disk dead, the
@@ -240,8 +248,7 @@ impl ChaosSpec {
         if self.kill_nvram_at_cut {
             run.image.kill_nvram();
         }
-        let outcome = replay(&run.image);
-        judge(cut, &run.image, &outcome, run.loss.as_ref())
+        run
     }
 }
 

@@ -40,7 +40,6 @@ use std::collections::BTreeSet;
 
 use afraid::faults::DataLossReport;
 use afraid::recovery::{CrashImage, RecoveryOutcome};
-use afraid::shadow::xor_fold;
 use afraid_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -126,10 +125,7 @@ pub fn judge(
     // data units of the rows that do not XOR to zero.
     let mut truly: BTreeSet<(u64, u32)> = BTreeSet::new();
     if let Some(f) = image.failed_disk {
-        for (stripe, row) in (0u64..).zip(image.shadow.rows()) {
-            if xor_fold(row) == 0 {
-                continue;
-            }
+        for stripe in image.shadow.unbalanced_rows() {
             let Some(unit) = layout.unit_on_disk(stripe, f) else {
                 continue; // parity loss is never data loss
             };
@@ -173,15 +169,14 @@ pub fn judge(
     // data on survivors — harmless — or reconstructs wrongly, which
     // invariant 1 catches as undeclared loss.)
     if failure.is_none() && image.failed_disk.is_none() {
-        let hole = (0u64..).zip(image.shadow.rows()).find(|&(s, row)| {
-            xor_fold(row) != 0
-                && !image.marks.is_marked(s)
+        let hole = image.shadow.unbalanced_rows().find(|&s| {
+            !image.marks.is_marked(s)
                 && !image
                     .integrity
                     .as_ref()
                     .is_some_and(|int| int.stripe_corrupt(s))
         });
-        if let Some((s, _)) = hole {
+        if let Some(s) = hole {
             failure = Some(format!(
                 "write hole: stripe {s} is unmarked but parity-inconsistent at the cut"
             ));
@@ -206,7 +201,7 @@ pub fn judge(
 
     // 3. Full redundancy after recovery.
     if failure.is_none() {
-        if let Some(s) = outcome.shadow.rows().position(|row| xor_fold(row) != 0) {
+        if let Some(s) = outcome.shadow.unbalanced_rows().next() {
             failure = Some(format!("stripe {s} left parity-inconsistent by recovery"));
         } else if outcome.marks.marked_count() != 0 {
             failure = Some(format!(
@@ -410,7 +405,7 @@ mod tests {
     #[test]
     fn integrity_violations_are_caught() {
         let mut img = image();
-        img.integrity = Some(IntegrityState::new(&img.shadow));
+        img.integrity = Some(IntegrityState::new(img.shadow.layout()));
         let out = replay(&img);
         assert!(judge(0, &img, &out, None).pass);
 

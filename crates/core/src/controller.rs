@@ -472,7 +472,7 @@ impl Controller {
         // `validate` rejects integrity without the shadow model, so
         // the state is built exactly when the subsystem is on.
         let integrity = match (&shadow, cfg.integrity.active()) {
-            (Some(sh), true) => Some(IntegrityState::new(sh)),
+            (Some(sh), true) => Some(IntegrityState::new(sh.layout())),
             _ => None,
         };
         // Errors only matter inside the striped region; trailing

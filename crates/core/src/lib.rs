@@ -44,6 +44,7 @@
 //! | [`health`] | per-disk EWMA fault scoreboard driving proactive eviction |
 //! | [`integrity`] | per-unit checksums, verify-on-read, corruption verdicts |
 //! | [`shadow`] | XOR content model that *verifies* redundancy claims |
+//! | [`stripeset`] | stripe bitmap: the changed-row index of the crash state |
 //! | [`idle`] | idle detection |
 //! | [`scrub`] | latent-error tour scrubber (idle-driven, IOPS-budgeted) |
 //! | [`cache`] | the array controller's read cache |
@@ -68,10 +69,13 @@ pub mod paritylog;
 pub mod policy;
 pub mod raid6;
 pub mod recovery;
+#[cfg(test)]
+mod reference;
 pub mod regions;
 pub mod report;
 pub mod scrub;
 pub mod shadow;
+pub mod stripeset;
 pub mod sweep;
 
 pub use config::{ArrayConfig, FailSlowConfig, FaultConfig, ScrubConfig};

@@ -20,14 +20,46 @@
 use std::collections::BTreeSet;
 
 use crate::layout::Layout;
+use crate::stripeset::StripeSet;
 
 /// Per-unit content words for the whole array.
-#[derive(Clone, Debug)]
+///
+/// A fresh array holds its *seed image*: every data unit holds
+/// [`seed_word`] and every parity unit the XOR of its stripe's data
+/// words. Only the rows some mutation touched are stored; `changed`
+/// indexes them. An unchanged row reads as its seed content, so a
+/// fresh array costs one zeroed allocation, and a whole-array check
+/// need only visit the changed rows: a seed row XORs to zero and
+/// reconstructs every unit to itself.
+#[derive(Debug)]
 pub struct ShadowArray {
     layout: Layout,
     /// `words[stripe * disks + disk]`: the content of the stripe unit
-    /// stored on `disk` in `stripe` (data or parity alike).
+    /// stored on `disk` in `stripe` (data or parity alike), for the
+    /// rows in `changed`. Every other row's storage stays zero.
     words: Vec<u64>,
+    /// The rows a mutation has touched. Each was filled with its seed
+    /// content before its first change, so every row outside this set
+    /// holds exactly its seed content.
+    changed: StripeSet,
+}
+
+impl Clone for ShadowArray {
+    /// Copies the changed rows only — every other row's storage is
+    /// zero in both arrays — so a crash capture costs one zeroed
+    /// allocation plus the changed rows.
+    fn clone(&self) -> ShadowArray {
+        let mut words = vec![0u64; self.words.len()];
+        for stripe in self.changed.iter() {
+            let span = self.span(stripe);
+            words[span.clone()].copy_from_slice(&self.words[span]);
+        }
+        ShadowArray {
+            layout: self.layout,
+            words,
+            changed: self.changed.clone(),
+        }
+    }
 }
 
 /// Outcome of attempting to reconstruct one unit.
@@ -40,89 +72,126 @@ pub enum Reconstruction {
 }
 
 impl ShadowArray {
-    /// Creates a shadow array with deterministic initial contents and
-    /// consistent parity everywhere (a freshly initialised array).
-    /// Filled row by row, each row's data words in unit order.
+    /// Creates a shadow array holding its seed image: deterministic
+    /// initial contents and consistent parity everywhere (a freshly
+    /// initialised array). No row is stored until it changes.
     pub fn new(layout: Layout) -> ShadowArray {
         let disks = layout.disks() as usize;
-        let mut words = vec![0u64; layout.stripes() as usize * disks];
-        for (stripe, row) in (0u64..).zip(words.chunks_exact_mut(disks)) {
-            let pd = layout.parity_disk(stripe) as usize;
+        ShadowArray {
+            layout,
+            words: vec![0u64; layout.stripes() as usize * disks],
+            changed: StripeSet::new(layout.stripes()),
+        }
+    }
+
+    /// Where `stripe`'s row sits in `words`.
+    fn span(&self, stripe: u64) -> std::ops::Range<usize> {
+        let disks = self.layout.disks() as usize;
+        let start = stripe as usize * disks;
+        start..start + disks
+    }
+
+    /// The stripe's stored row of unit words, one per disk (data and
+    /// parity alike), or `None` for a row that still holds its seed
+    /// content. The hot XOR folds run over this slice.
+    fn row(&self, stripe: u64) -> Option<&[u64]> {
+        if !self.changed.contains(stripe) {
+            return None;
+        }
+        Some(&self.words[self.span(stripe)])
+    }
+
+    /// The stripe's stored row for a mutation: a seed row is first
+    /// filled with its seed content and joins the changed set.
+    fn row_mut(&mut self, stripe: u64) -> &mut [u64] {
+        let span = self.span(stripe);
+        let row = &mut self.words[span];
+        if !self.changed.contains(stripe) {
+            let pd = self.layout.parity_disk(stripe) as usize;
             let mut parity = 0u64;
             for (unit, w) in (0u32..).zip(unit_order_mut(row, pd)) {
                 *w = seed_word(stripe, unit);
                 parity ^= *w;
             }
             row[pd] = parity;
+            self.changed.insert(stripe);
         }
-        ShadowArray { layout, words }
-    }
-
-    fn idx(&self, stripe: u64, disk: u32) -> usize {
-        (stripe * u64::from(self.layout.disks()) + u64::from(disk)) as usize
-    }
-
-    /// The stripe's contiguous row of unit words, one per disk (data
-    /// and parity alike). The hot XOR folds run over this slice.
-    fn row(&self, stripe: u64) -> &[u64] {
-        let disks = self.layout.disks() as usize;
-        let start = stripe as usize * disks;
-        &self.words[start..start + disks]
+        row
     }
 
     /// XOR of *every* unit in the stripe — data and parity. Zero iff
-    /// the stripe's XOR identity holds. One chunked fold over the
-    /// contiguous row; per-unit results derive from it by XORing the
-    /// excluded word back out.
+    /// the stripe's XOR identity holds, and always zero for a seed
+    /// row. One chunked fold over the contiguous row; per-unit results
+    /// derive from it by XORing the excluded word back out.
     fn row_xor(&self, stripe: u64) -> u64 {
-        xor_fold(self.row(stripe))
+        self.row(stripe).map_or(0, xor_fold)
     }
 
-    /// Every stripe's row in stripe order: row `s` holds the words of
-    /// stripe `s`, one per disk, data and parity alike. Whole-array
-    /// checks run as one pass over these.
-    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.words.chunks_exact(self.layout.disks() as usize)
+    /// The rows a mutation has touched, a superset of the rows that
+    /// differ from the seed image. Every other row is parity-consistent
+    /// and holds its seed content.
+    pub fn changed_rows(&self) -> &StripeSet {
+        &self.changed
     }
 
-    /// The data words of `stripe` in unit order.
-    pub(crate) fn data_words(&self, stripe: u64) -> impl Iterator<Item = u64> + '_ {
-        let pd = self.layout.parity_disk(stripe) as usize;
-        unit_order(self.row(stripe), pd).copied()
+    /// The stripes whose XOR identity fails, ascending. Only changed
+    /// rows can fail it, so only they are visited.
+    pub fn unbalanced_rows(&self) -> impl Iterator<Item = u64> + '_ {
+        self.changed.iter().filter(|&s| self.row_xor(s) != 0)
+    }
+
+    /// Stores every row, as a dense array would: the changed set then
+    /// covers the whole array, so every pass over it is a full scan.
+    /// The reference the crash checker's row index is tested against.
+    pub fn materialize_all(&mut self) {
+        for stripe in 0..self.layout.stripes() {
+            self.row_mut(stripe);
+        }
     }
 
     /// The content word of the unit on `disk` in `stripe`.
     pub fn word(&self, stripe: u64, disk: u32) -> u64 {
-        self.words[self.idx(stripe, disk)]
+        match self.row(stripe) {
+            Some(row) => row[disk as usize],
+            None => match self.layout.unit_on_disk(stripe, disk) {
+                Some(unit) => seed_word(stripe, unit),
+                None => (0..self.layout.data_units()).fold(0, |p, u| p ^ seed_word(stripe, u)),
+            },
+        }
     }
 
     /// The content word of data unit `unit` of `stripe`.
     pub fn data_word(&self, stripe: u64, unit: u32) -> u64 {
-        self.word(stripe, self.layout.data_disk(stripe, unit))
+        match self.row(stripe) {
+            Some(row) => row[self.layout.data_disk(stripe, unit) as usize],
+            None => seed_word(stripe, unit),
+        }
     }
 
     /// Overwrites data unit `unit` of `stripe`, returning the old word
     /// (needed by the RAID 5 incremental parity update).
     pub fn write_data(&mut self, stripe: u64, unit: u32, word: u64) -> u64 {
-        let disk = self.layout.data_disk(stripe, unit);
-        let i = self.idx(stripe, disk);
-        std::mem::replace(&mut self.words[i], word)
+        let disk = self.layout.data_disk(stripe, unit) as usize;
+        std::mem::replace(&mut self.row_mut(stripe)[disk], word)
     }
 
     /// Applies the RAID 5 incremental parity update:
     /// `P' = P ⊕ old ⊕ new`.
     pub fn update_parity_incremental(&mut self, stripe: u64, old: u64, new: u64) {
-        let pd = self.layout.parity_disk(stripe);
-        let i = self.idx(stripe, pd);
-        self.words[i] ^= old ^ new;
+        let pd = self.layout.parity_disk(stripe) as usize;
+        self.row_mut(stripe)[pd] ^= old ^ new;
     }
 
-    /// Recomputes parity from the data units (the scrub operation).
+    /// Recomputes parity from the data units (the scrub operation). A
+    /// seed row's parity already is the XOR of its data: it stays a
+    /// seed row.
     pub fn rebuild_parity(&mut self, stripe: u64) {
+        if !self.changed.contains(stripe) {
+            return;
+        }
         let parity = self.compute_parity(stripe);
-        let pd = self.layout.parity_disk(stripe);
-        let i = self.idx(stripe, pd);
-        self.words[i] = parity;
+        let pd = self.layout.parity_disk(stripe) as usize;
+        self.row_mut(stripe)[pd] = parity;
     }
 
     /// XOR of the stripe's data words.
@@ -194,8 +263,7 @@ impl ShadowArray {
     /// the survivors, not from a stale copy) and to store the
     /// reconstructed words back.
     pub fn set_word(&mut self, stripe: u64, disk: u32, word: u64) {
-        let i = self.idx(stripe, disk);
-        self.words[i] = word;
+        self.row_mut(stripe)[disk as usize] = word;
     }
 
     /// Byte-check for crash recovery: the first *data* unit whose word
@@ -205,8 +273,9 @@ impl ShadowArray {
     /// deliberately not compared, because a recovery sweep rewrites
     /// stale parity; [`ShadowArray::parity_consistent`] judges those.
     ///
-    /// Compares the arrays row by row; only an unequal row is scanned
-    /// unit by unit, in unit order.
+    /// Rows unchanged in both arrays hold the same seed content, so
+    /// only rows changed in either are compared; two equal stored rows
+    /// are skipped whole, anything else is scanned in unit order.
     ///
     /// # Panics
     ///
@@ -217,14 +286,18 @@ impl ShadowArray {
         skip: &BTreeSet<(u64, u32)>,
     ) -> Option<(u64, u32)> {
         assert_eq!(self.layout, other.layout, "shadow layout mismatch");
-        for (stripe, (a, b)) in (0u64..).zip(self.rows().zip(other.rows())) {
-            if a == b {
-                continue;
+        let mut rows = self.changed.clone();
+        rows.union_with(&other.changed);
+        for stripe in rows.iter() {
+            if let (Some(a), Some(b)) = (self.row(stripe), other.row(stripe)) {
+                if a == b {
+                    continue;
+                }
             }
-            let pd = self.layout.parity_disk(stripe) as usize;
-            let units = unit_order(a, pd).zip(unit_order(b, pd));
-            for (unit, (x, y)) in (0u32..).zip(units) {
-                if x != y && !skip.contains(&(stripe, unit)) {
+            for unit in 0..self.layout.data_units() {
+                if self.data_word(stripe, unit) != other.data_word(stripe, unit)
+                    && !skip.contains(&(stripe, unit))
+                {
                     return Some((stripe, unit));
                 }
             }
@@ -254,11 +327,6 @@ impl ShadowArray {
 /// A stripe row's data words in unit order. Data unit `u` sits on
 /// disk `(pd + 1 + u) % disks`, so unit order is the row after the
 /// parity word followed by the row before it.
-fn unit_order(row: &[u64], pd: usize) -> impl Iterator<Item = &u64> {
-    row[pd + 1..].iter().chain(&row[..pd])
-}
-
-/// Mutable [`unit_order`].
 fn unit_order_mut(row: &mut [u64], pd: usize) -> impl Iterator<Item = &mut u64> {
     let (before, from_parity) = row.split_at_mut(pd);
     from_parity[1..].iter_mut().chain(before)
@@ -269,7 +337,7 @@ fn unit_order_mut(row: &mut [u64], pd: usize) -> impl Iterator<Item = &mut u64> 
 /// independent lanes), a scalar tail for the remainder. XOR is
 /// associative and commutative, so the result equals a plain
 /// left-to-right fold for any slice.
-pub fn xor_fold(words: &[u64]) -> u64 {
+fn xor_fold(words: &[u64]) -> u64 {
     let mut lanes = [0u64; 4];
     let mut chunks = words.chunks_exact(4);
     for c in &mut chunks {
@@ -285,8 +353,8 @@ pub fn xor_fold(words: &[u64]) -> u64 {
     acc
 }
 
-/// Deterministic initial content for a data unit.
-fn seed_word(stripe: u64, unit: u32) -> u64 {
+/// Deterministic initial content for a data unit: the seed image.
+pub(crate) fn seed_word(stripe: u64, unit: u32) -> u64 {
     let mut z = stripe
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(u64::from(unit) + 1);
@@ -483,7 +551,7 @@ mod tests {
         // words; comparing them unit by unit would be meaningless.
         let four = ShadowArray::new(Layout::new(4, 8192, 16 * 20));
         let five = ShadowArray::new(Layout::new(5, 8192, 16 * 16));
-        assert_eq!(four.rows().len() * 4, five.rows().len() * 5);
+        assert_eq!(four.words.len(), five.words.len());
         let _ = four.data_divergence(&five, &BTreeSet::new());
     }
 
@@ -540,9 +608,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-            /// Row-built arrays equal the per-unit construction.
+            /// Seed rows read, and materialise, as the per-unit
+            /// construction of a fresh array.
             #[test]
-            fn new_matches_per_unit_construction(disks in 3u32..9, stripes in 1u64..40) {
+            fn seed_rows_match_per_unit_construction(disks in 3u32..9, stripes in 1u64..40) {
                 let l = Layout::new(disks, 8192, 16 * stripes);
                 let mut words = vec![0u64; (stripes * u64::from(disks)) as usize];
                 for stripe in 0..stripes {
@@ -554,7 +623,17 @@ mod tests {
                     }
                     words[(stripe * u64::from(disks) + u64::from(l.parity_disk(stripe))) as usize] = parity;
                 }
-                prop_assert_eq!(ShadowArray::new(l).words, words);
+                let fresh = ShadowArray::new(l);
+                prop_assert!(fresh.changed_rows().is_empty());
+                let read: Vec<u64> = (0..stripes)
+                    .flat_map(|s| (0..disks).map(move |d| (s, d)))
+                    .map(|(s, d)| fresh.word(s, d))
+                    .collect();
+                prop_assert_eq!(&read, &words);
+                let mut dense = fresh.clone();
+                dense.materialize_all();
+                prop_assert_eq!(dense.changed_rows().len(), stripes);
+                prop_assert_eq!(dense.words, words);
             }
 
             /// Row-XOR consistency and reconstruction agree with the
@@ -582,9 +661,11 @@ mod tests {
                         };
                         prop_assert_eq!(s.reconstruct(stripe, disk), want);
                     }
-                    let units: Vec<u64> = s.data_words(stripe).collect();
-                    let scalar: Vec<u64> = (0..l.data_units()).map(|u| s.data_word(stripe, u)).collect();
-                    prop_assert_eq!(units, scalar);
+                    let by_disk: Vec<u64> = (0..l.data_units())
+                        .map(|u| s.word(stripe, l.data_disk(stripe, u)))
+                        .collect();
+                    let by_unit: Vec<u64> = (0..l.data_units()).map(|u| s.data_word(stripe, u)).collect();
+                    prop_assert_eq!(by_disk, by_unit);
                 }
             }
 
